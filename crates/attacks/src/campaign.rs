@@ -28,7 +28,7 @@ use crate::fuzz::count_outer_conditions;
 use bombdroid_apk::ApkFile;
 use bombdroid_core::{derive_seed, expect_all, run_indexed_windowed, FleetConfig, TaskCtx};
 use bombdroid_dex::Value;
-use bombdroid_runtime::{DeviceEnv, InstalledPackage, Vm, VmEngine, VmOptions, VmSnapshot};
+use bombdroid_runtime::{DeviceEnv, InstalledPackage, Vm, VmOptions, VmSnapshot};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -147,9 +147,6 @@ struct ShardResult {
 
 fn campaign_opts() -> VmOptions {
     VmOptions {
-        // Pin the decoded engine: it hosts the coverage hook, and both
-        // engines are behaviorally bit-identical anyway.
-        engine: VmEngine::Decoded,
         collect_coverage: true,
         ..VmOptions::default()
     }
@@ -255,11 +252,12 @@ fn run_shard(
 /// boot) and reports whether the payload marker fires again — the
 /// ground-truth check that a reported bomb is a real bomb.
 fn validate_finding(pkg: &Arc<InstalledPackage>, env: &DeviceEnv, f: &Finding) -> bool {
-    let opts = VmOptions {
-        engine: VmEngine::Decoded,
-        ..VmOptions::default()
-    };
-    let mut vm = Vm::new(Arc::clone(pkg), env.clone(), f.vm_seed, opts);
+    let mut vm = Vm::new(
+        Arc::clone(pkg),
+        env.clone(),
+        f.vm_seed,
+        VmOptions::default(),
+    );
     run_input(&mut vm, &f.input);
     vm.telemetry().markers.contains(&f.marker)
 }

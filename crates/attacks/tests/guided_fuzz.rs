@@ -157,13 +157,12 @@ fn coverage_hook_is_invisible_to_the_cost_model() {
     // instr_executed and the virtual clock) must be identical, and only
     // the instrumented VM may report edges. This is the deterministic
     // half of the "no overhead when disabled" perf guard.
-    use bombdroid_runtime::{DeviceEnv, InstalledPackage, RtValue, Vm, VmEngine, VmOptions};
+    use bombdroid_runtime::{DeviceEnv, InstalledPackage, RtValue, Vm, VmOptions};
 
     let (apk, _) = protect(control_config());
     let pkg = std::sync::Arc::new(InstalledPackage::install(&apk).unwrap());
     let run = |collect_coverage: bool| {
         let opts = VmOptions {
-            engine: VmEngine::Decoded,
             collect_coverage,
             ..VmOptions::default()
         };
@@ -190,12 +189,11 @@ fn coverage_hook_is_invisible_to_the_cost_model() {
 
 #[test]
 fn forked_coverage_resets_per_session() {
-    use bombdroid_runtime::{DeviceEnv, InstalledPackage, RtValue, Vm, VmEngine, VmOptions};
+    use bombdroid_runtime::{DeviceEnv, InstalledPackage, RtValue, Vm, VmOptions};
 
     let (apk, _) = protect(control_config());
     let pkg = std::sync::Arc::new(InstalledPackage::install(&apk).unwrap());
     let opts = VmOptions {
-        engine: VmEngine::Decoded,
         collect_coverage: true,
         ..VmOptions::default()
     };

@@ -31,7 +31,7 @@ use bombdroid_crypto::{aes, blob, kdf, sha1, sha256};
 use bombdroid_dex::{wire, Value};
 use bombdroid_obs::{self as obs, ObsMode, Recorder, ShardAggregator};
 use bombdroid_runtime::{
-    DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Vm, VmEngine, VmOptions,
+    DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Vm, VmOptions,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -271,22 +271,6 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
         }));
     }
 
-    // --- crypto: multi-buffer SHA-256 (arm-phase batch hashing) ---
-    if wanted("crypto/sha256_mb4_4k") {
-        // Four independent 4 KiB messages through the 4-lane kernel —
-        // compare against 4× crypto/sha256_4k for the interleave win.
-        let bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0xA5 ^ i; 4096]).collect();
-        push(run_bench(
-            "crypto/sha256_mb4_4k",
-            Some(4 * 4096),
-            config,
-            || {
-                let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
-                std::hint::black_box(sha256::digest_many(std::hint::black_box(&refs)));
-            },
-        ));
-    }
-
     // --- service: protect-as-a-service throughput + queue overhead ---
     if wanted("service/protect_qps") {
         // Sustained intake→drain over all eight flagships with a cold
@@ -394,7 +378,6 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
             // disabled-hook side is pinned exactly (telemetry-identical)
             // by the attacks determinism suite.
             let cov_opts = VmOptions {
-                engine: VmEngine::Decoded,
                 collect_coverage: true,
                 ..VmOptions::default()
             };

@@ -131,88 +131,50 @@ fn emit_payload(f: &mut FragmentBuilder, spec: &PayloadSpec) {
     f.place_label(after);
 }
 
-/// Collects a method's payload fragments and seals them in one batched
-/// crypto pass.
+/// The sealed payload blobs of one arming pass, numbered from `base`.
 ///
-/// Blob ids depend only on registration *order* (`base +` position), not on
-/// the ciphertext, so arming can assign every id up front and defer the
-/// AES/SHA-1 work: [`seal_all`](Self::seal_all) runs all CTR streams
-/// through the block-parallel [`crypto_blob::seal_batch`], whose output is
-/// bit-identical to sealing each fragment serially.
+/// Each fragment is encrypted the moment it is registered, under the
+/// paper's per-bomb `key = Hash(c | salt)` (§7.4); its id is `base` plus
+/// its registration position.
 #[derive(Debug)]
-pub struct PendingBlobs {
+pub struct SealedBlobs {
     base: u32,
-    jobs: Vec<(bombdroid_crypto::Key128, Vec<u8>, Vec<u8>)>,
+    blobs: Vec<EncryptedBlob>,
 }
 
-impl PendingBlobs {
-    /// Creates an empty collector whose blob ids start at `base`. Serial
+impl SealedBlobs {
+    /// Creates an empty table whose blob ids start at `base`. Serial
     /// callers arming straight into a dex pass `0`; the parallel protect
     /// pass arms each method under a marked base and relocates the ids when
     /// merging (see `pipeline`).
     pub fn new(base: u32) -> Self {
-        PendingBlobs {
+        SealedBlobs {
             base,
-            jobs: Vec::new(),
+            blobs: Vec::new(),
         }
-    }
-
-    /// Number of registered fragments.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no fragments are registered.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// The id the next registered fragment will get.
     fn next_id(&self) -> BlobId {
-        BlobId(self.base + self.jobs.len() as u32)
+        BlobId(self.base + self.blobs.len() as u32)
     }
 
-    /// Registers a fragment for sealing under an already-derived site key.
-    /// The key comes from the same [`kdf::site_material`] call that
+    /// Seals a fragment under an already-derived site key and registers
+    /// it. The key comes from the same [`kdf::site_material`] call that
     /// produced the stored condition hash, so each bomb serializes its
     /// trigger constant exactly once.
-    fn defer(
-        &mut self,
-        key: bombdroid_crypto::Key128,
-        salt: &[u8],
-        fragment: Vec<Instr>,
-    ) -> BlobId {
+    fn seal(&mut self, key: &bombdroid_crypto::Key128, salt: &[u8], fragment: &[Instr]) -> BlobId {
         let id = self.next_id();
-        self.jobs
-            .push((key, salt.to_vec(), wire::encode_fragment(&fragment)));
+        self.blobs.push(EncryptedBlob {
+            salt: salt.to_vec(),
+            sealed: crypto_blob::seal(key, &wire::encode_fragment(fragment)),
+        });
         id
     }
 
-    /// Moves every registered fragment of `other` onto the end of `self`,
-    /// preserving registration order — the protect pipeline pools each
-    /// method's collector into one app-wide batch so [`seal_all`]'s
-    /// four-lane crypto runs over every blob of the app at once.
-    ///
-    /// [`seal_all`]: Self::seal_all
-    pub fn absorb(&mut self, other: PendingBlobs) {
-        self.jobs.extend(other.jobs);
-    }
-
-    /// Seals every registered fragment, batching the crypto across blobs.
-    /// Output order matches registration order (and therefore the ids
-    /// handed out by [`defer`](Self::defer)).
-    pub fn seal_all(self) -> Vec<EncryptedBlob> {
-        let seal_jobs: Vec<(bombdroid_crypto::Key128, &[u8])> = self
-            .jobs
-            .iter()
-            .map(|(key, _, plaintext)| (*key, plaintext.as_slice()))
-            .collect();
-        let sealed = crypto_blob::seal_batch(&seal_jobs);
-        self.jobs
-            .into_iter()
-            .zip(sealed)
-            .map(|((_, salt, _), sealed)| EncryptedBlob { salt, sealed })
-            .collect()
+    /// The sealed blobs in registration (= id) order.
+    pub fn into_vec(self) -> Vec<EncryptedBlob> {
+        self.blobs
     }
 }
 
@@ -229,7 +191,7 @@ impl PendingBlobs {
 /// method is left unmodified in that case.
 pub fn arm_existing(
     method: &mut Method,
-    pending: &mut PendingBlobs,
+    sealed: &mut SealedBlobs,
     planned: &PlannedExisting,
     spec: &PayloadSpec,
     salt: &[u8],
@@ -254,7 +216,7 @@ pub fn arm_existing(
 
     let material = kdf::site_material(&site.constant.canonical_bytes(), salt);
     let hc = material.condition_hash;
-    let blob_id = pending.next_id();
+    let blob_id = sealed.next_id();
     let hreg = Reg(method.registers);
     // Without weaving the original body stays in plaintext inside the
     // replacement, right after the DecryptExec; the hash-miss branch skips
@@ -285,7 +247,7 @@ pub fn arm_existing(
     }
     rewrite_region(method, planned.anchor, skip, replacement)?;
     method.registers = method.registers.max(max_frag_reg);
-    Ok(pending.defer(material.key, salt, fragment))
+    Ok(sealed.seal(&material.key, salt, &fragment))
 }
 
 /// Inserts and arms an artificial-QC bomb at the planned location.
@@ -296,7 +258,7 @@ pub fn arm_existing(
 /// happen for planner-produced sites).
 pub fn arm_artificial(
     method: &mut Method,
-    pending: &mut PendingBlobs,
+    sealed: &mut SealedBlobs,
     planned: &PlannedArtificial,
     spec: &PayloadSpec,
     salt: &[u8],
@@ -328,13 +290,13 @@ pub fn arm_artificial(
             target: replacement_len,
         },
         Instr::DecryptExec {
-            blob: pending.next_id(),
+            blob: sealed.next_id(),
             key_src: sreg,
         },
     ];
     rewrite_region(method, planned.at, planned.at, replacement)?;
     method.registers = method.registers.max(scratch_base + 16);
-    Ok(pending.defer(material.key, salt, fragment))
+    Ok(sealed.seal(&material.key, salt, &fragment))
 }
 
 #[cfg(test)]
@@ -382,17 +344,10 @@ mod tests {
     fn arming_replaces_plaintext_condition() {
         let mut method = site_method();
         let p = planned(&method);
-        let mut pending = PendingBlobs::new(0);
-        let blob = arm_existing(
-            &mut method,
-            &mut pending,
-            &p,
-            &simple_spec(0),
-            b"salt",
-            true,
-        )
-        .expect("arm");
-        let blobs = pending.seal_all();
+        let mut sealed = SealedBlobs::new(0);
+        let blob = arm_existing(&mut method, &mut sealed, &p, &simple_spec(0), b"salt", true)
+            .expect("arm");
+        let blobs = sealed.into_vec();
         assert_eq!(blob, BlobId(0));
         assert_eq!(blobs.len(), 1);
         // The constant 99 is gone from the bytecode.
@@ -409,17 +364,9 @@ mod tests {
     fn armed_method_still_validates() {
         let mut method = site_method();
         let p = planned(&method);
-        let mut pending = PendingBlobs::new(0);
-        arm_existing(
-            &mut method,
-            &mut pending,
-            &p,
-            &simple_spec(0),
-            b"salt",
-            true,
-        )
-        .unwrap();
-        let blobs = pending.seal_all();
+        let mut sealed = SealedBlobs::new(0);
+        arm_existing(&mut method, &mut sealed, &p, &simple_spec(0), b"salt", true).unwrap();
+        let blobs = sealed.into_vec();
         let mut dex = bombdroid_dex::DexFile::new();
         let mut class = bombdroid_dex::Class::new("T");
         class.methods.push(method);
@@ -432,10 +379,10 @@ mod tests {
     fn unweave_keeps_body_in_plaintext() {
         let mut method = site_method();
         let p = planned(&method);
-        let mut pending = PendingBlobs::new(0);
+        let mut sealed = SealedBlobs::new(0);
         arm_existing(
             &mut method,
-            &mut pending,
+            &mut sealed,
             &p,
             &simple_spec(0),
             b"salt",
@@ -450,14 +397,14 @@ mod tests {
     fn artificial_insertion_compiles() {
         let mut method = site_method();
         let before_len = method.body.len();
-        let mut pending = PendingBlobs::new(0);
+        let mut sealed = SealedBlobs::new(0);
         let planned = PlannedArtificial {
             method: MethodRef::new("T", "m"),
             at: 0,
             field: FieldRef::new("T", "state"),
             constant: Value::Int(5),
         };
-        arm_artificial(&mut method, &mut pending, &planned, &simple_spec(1), b"s").unwrap();
+        arm_artificial(&mut method, &mut sealed, &planned, &simple_spec(1), b"s").unwrap();
         assert_eq!(method.body.len(), before_len + 4);
         let text = bombdroid_dex::asm::disasm_method(&method);
         assert!(text.contains("sget"));
@@ -469,17 +416,17 @@ mod tests {
         let mut method = site_method();
         let p = planned(&method);
         let constant = p.site.constant.clone();
-        let mut pending = PendingBlobs::new(0);
+        let mut sealed = SealedBlobs::new(0);
         arm_existing(
             &mut method,
-            &mut pending,
+            &mut sealed,
             &p,
             &simple_spec(3),
             b"pepper",
             true,
         )
         .unwrap();
-        let blobs = pending.seal_all();
+        let blobs = sealed.into_vec();
         let right = kdf::derive_key(&constant.canonical_bytes(), b"pepper");
         let pt = crypto_blob::open(&right, &blobs[0].sealed).expect("right key opens");
         let frag = wire::decode_fragment(&pt).expect("valid fragment");

@@ -581,7 +581,7 @@ mod tests {
 
     #[test]
     fn protect_output_identical() {
-        // The service path (content-addressed cache over the batch-crypto
+        // The service path (content-addressed cache over the protect
         // pipeline) must change no wire bytes versus driving the Protector
         // directly with the same inputs.
         let apks = sample_apks();

@@ -77,68 +77,6 @@ pub fn seal_with_nonce(key: &Key128, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Seals many `(key, plaintext)` pairs in one pass, producing exactly the
-/// blobs [`seal`] would emit for each pair in order.
-///
-/// The serial path alternates SHA-1 (nonce), AES-CTR (encrypt), SHA-1
-/// (MAC) per blob; the batch path expands every schedule up front and runs
-/// all CTR streams through [`aes::ctr_xor_batch`], which interleaves block
-/// encryptions across blobs — four lanes stay full even when individual
-/// payloads are a block or two long, as a method's bomb payloads usually
-/// are.
-pub fn seal_batch(jobs: &[(Key128, &[u8])]) -> Vec<Vec<u8>> {
-    // Derive all nonces through the four-lane SHA-1, then frame every
-    // output buffer.
-    let plaintexts: Vec<&[u8]> = jobs.iter().map(|(_, p)| *p).collect();
-    let nonce_digests = sha1::digest_many(&plaintexts);
-    let mut outs: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
-    let mut nonces: Vec<u64> = Vec::with_capacity(jobs.len());
-    for ((_, plaintext), nonce_digest) in jobs.iter().zip(&nonce_digests) {
-        let nonce = u64::from_be_bytes(nonce_digest[..8].try_into().expect("8 bytes"));
-        let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);
-        out.extend_from_slice(&nonce.to_be_bytes());
-        out.extend_from_slice(plaintext);
-        nonces.push(nonce);
-        outs.push(out);
-    }
-    // Encrypt all payloads block-parallel across blobs.
-    let schedules: Vec<aes::Aes128> = jobs.iter().map(|(k, _)| aes::Aes128::new(k)).collect();
-    let mut ctr_jobs: Vec<aes::CtrJob<'_>> = outs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, out)| aes::CtrJob {
-            aes: &schedules[i],
-            nonce: nonces[i],
-            data: &mut out[NONCE_LEN..],
-        })
-        .collect();
-    aes::ctr_xor_batch(&mut ctr_jobs);
-    drop(ctr_jobs);
-    // Authenticate, batching the MAC hashes four-lane as well. The MAC
-    // input is materialized per blob (domain ‖ key ‖ nonce ‖ ciphertext) —
-    // a short copy, dwarfed by the hashing it unlocks — and the resulting
-    // tag is identical to the incremental [`mac`] of the same parts.
-    let mac_inputs: Vec<Vec<u8>> = outs
-        .iter()
-        .enumerate()
-        .map(|(i, out)| {
-            let ct = &out[NONCE_LEN..];
-            let mut buf = Vec::with_capacity(MAC_DOMAIN.len() + 16 + NONCE_LEN + ct.len());
-            buf.extend_from_slice(MAC_DOMAIN);
-            buf.extend_from_slice(&jobs[i].0);
-            buf.extend_from_slice(&nonces[i].to_be_bytes());
-            buf.extend_from_slice(ct);
-            buf
-        })
-        .collect();
-    let mac_refs: Vec<&[u8]> = mac_inputs.iter().map(|b| b.as_slice()).collect();
-    let tags = sha1::digest_many(&mac_refs);
-    for (out, tag) in outs.iter_mut().zip(&tags) {
-        out.extend_from_slice(tag);
-    }
-    outs
-}
-
 /// Opens a sealed blob, authenticating before decrypting.
 ///
 /// # Errors
@@ -212,30 +150,5 @@ mod tests {
     #[test]
     fn deterministic_for_reproducible_builds() {
         assert_eq!(seal(&KEY, b"same payload"), seal(&KEY, b"same payload"));
-    }
-
-    #[test]
-    fn seal_batch_matches_serial() {
-        let payloads: Vec<Vec<u8>> = [0usize, 3, 16, 31, 400, 64]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7 + 1) as u8).collect())
-            .collect();
-        let jobs: Vec<(Key128, &[u8])> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ([i as u8 + 1; 16], p.as_slice()))
-            .collect();
-        let batched = seal_batch(&jobs);
-        for (i, (key, pt)) in jobs.iter().enumerate() {
-            assert_eq!(batched[i], seal(key, pt), "blob {i}");
-            assert_eq!(open(key, &batched[i]).unwrap(), *pt, "blob {i} opens");
-        }
-    }
-
-    #[test]
-    fn seal_batch_empty_and_single() {
-        assert!(seal_batch(&[]).is_empty());
-        let one = seal_batch(&[(KEY, b"solo".as_slice())]);
-        assert_eq!(one[0], seal(&KEY, b"solo"));
     }
 }

@@ -41,7 +41,6 @@ pub mod aes;
 pub mod blob;
 pub mod hex;
 pub mod kdf;
-mod lanes;
 pub mod sha1;
 pub mod sha256;
 

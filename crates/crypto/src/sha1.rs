@@ -7,7 +7,6 @@
 //! against the attacker's constraint solvers — still hold in practice and
 //! are what our symbolic-execution substrate models as "uninterpretable".
 
-use crate::lanes::U32x4;
 use crate::Digest160;
 
 /// Incremental SHA-1 hasher.
@@ -171,129 +170,6 @@ pub fn digest(data: &[u8]) -> Digest160 {
     h.finalize()
 }
 
-// ------------------------------------------------------------ multi-buffer --
-
-const INIT: [u32; 5] = [
-    0x6745_2301,
-    0xefcd_ab89,
-    0x98ba_dcfe,
-    0x1032_5476,
-    0xc3d2_e1f0,
-];
-
-/// One interleaved compression over four independent 64-byte blocks.
-/// Identical round algebra to [`Sha1::compress`], with every variable
-/// widened to four lanes.
-fn compress4(states: &mut [[u32; 5]; 4], blocks: [&[u8]; 4]) {
-    let mut w = [U32x4::splat(0); 80];
-    for (i, wi) in w.iter_mut().take(16).enumerate() {
-        *wi = U32x4(core::array::from_fn(|l| {
-            let c = &blocks[l][4 * i..4 * i + 4];
-            u32::from_be_bytes([c[0], c[1], c[2], c[3]])
-        }));
-    }
-    for i in 16..80 {
-        w[i] = w[i - 3].xor(w[i - 8]).xor(w[i - 14]).xor(w[i - 16]).rotl(1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e]: [U32x4; 5] =
-        core::array::from_fn(|r| U32x4(core::array::from_fn(|l| states[l][r])));
-    macro_rules! round {
-        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:expr, $k:expr, $i:expr) => {
-            $e = $e.add($a.rotl(5)).add($f).add(U32x4::splat($k)).add(w[$i]);
-            $b = $b.rotl(30);
-        };
-    }
-    macro_rules! stage {
-        ($f:expr, $k:expr, $base:expr) => {
-            let mut i = $base;
-            while i < $base + 20 {
-                macro_rules! f {
-                    ($fb:ident, $fc:ident, $fd:ident) => {
-                        $f($fb, $fc, $fd)
-                    };
-                }
-                round!(a, b, c, d, e, f!(b, c, d), $k, i);
-                round!(e, a, b, c, d, f!(a, b, c), $k, i + 1);
-                round!(d, e, a, b, c, f!(e, a, b), $k, i + 2);
-                round!(c, d, e, a, b, f!(d, e, a), $k, i + 3);
-                round!(b, c, d, e, a, f!(c, d, e), $k, i + 4);
-                i += 5;
-            }
-        };
-    }
-    stage!(
-        |x: U32x4, y: U32x4, z: U32x4| x.and(y).or(x.andnot(z)),
-        0x5a82_7999,
-        0
-    );
-    stage!(
-        |x: U32x4, y: U32x4, z: U32x4| x.xor(y).xor(z),
-        0x6ed9_eba1,
-        20
-    );
-    stage!(
-        |x: U32x4, y: U32x4, z: U32x4| x.and(y).or(x.and(z)).or(y.and(z)),
-        0x8f1b_bcdc,
-        40
-    );
-    stage!(
-        |x: U32x4, y: U32x4, z: U32x4| x.xor(y).xor(z),
-        0xca62_c1d6,
-        60
-    );
-    let v = [a, b, c, d, e];
-    for (l, state) in states.iter_mut().enumerate() {
-        for (r, s) in state.iter_mut().enumerate() {
-            *s = s.wrapping_add(v[r].0[l]);
-        }
-    }
-}
-
-/// Hashes four messages at once by interleaving their message schedules
-/// through one compression loop.
-///
-/// Messages may differ in length: lanes advance in lockstep for as many
-/// whole 64-byte blocks as the *shortest* message holds, then each lane's
-/// tail (remaining blocks plus padding) finishes through the scalar
-/// [`Sha1`] path. The result is bit-identical to hashing each message with
-/// [`digest`].
-pub fn digest4(msgs: [&[u8]; 4]) -> [Digest160; 4] {
-    let common = msgs.iter().map(|m| m.len() / 64).min().unwrap_or(0);
-    let mut states = [INIT; 4];
-    for b in 0..common {
-        compress4(
-            &mut states,
-            core::array::from_fn(|l| &msgs[l][b * 64..b * 64 + 64]),
-        );
-    }
-    core::array::from_fn(|l| {
-        let mut h = Sha1 {
-            state: states[l],
-            len: (common * 64) as u64,
-            buf: [0u8; 64],
-            buf_len: 0,
-        };
-        h.update(&msgs[l][common * 64..]);
-        h.finalize()
-    })
-}
-
-/// Hashes a batch of messages, using the interleaved four-lane compression
-/// for every full group of four and the scalar path for the remainder.
-/// Output order matches input order; every digest is bit-identical to the
-/// serial [`digest`] of the same message.
-pub fn digest_many(msgs: &[&[u8]]) -> Vec<Digest160> {
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut groups = msgs.chunks_exact(4);
-    for g in &mut groups {
-        out.extend(digest4([g[0], g[1], g[2], g[3]]));
-    }
-    for m in groups.remainder() {
-        out.push(digest(m));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,30 +210,6 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), digest(&data), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn digest4_matches_serial_ragged_lengths() {
-        let msgs: Vec<Vec<u8>> = [0usize, 63, 64, 911]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7) as u8).collect())
-            .collect();
-        let got = digest4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for (m, d) in msgs.iter().zip(got) {
-            assert_eq!(d, digest(m), "len {}", m.len());
-        }
-    }
-
-    #[test]
-    fn digest_many_matches_serial_any_count() {
-        for n in 0..9usize {
-            let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 37 * i + 1]).collect();
-            let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            let got = digest_many(&refs);
-            for (m, d) in msgs.iter().zip(got) {
-                assert_eq!(d, digest(m));
-            }
         }
     }
 

@@ -4,7 +4,6 @@
 //! code-snippet-scanning detection method, mirroring how real Android
 //! packaging records `SHA-256-Digest` per entry.
 
-use crate::lanes::U32x4;
 use crate::Digest256;
 
 const K: [u32; 64] = [
@@ -168,113 +167,6 @@ pub fn digest(data: &[u8]) -> Digest256 {
     h.finalize()
 }
 
-// ------------------------------------------------------------ multi-buffer --
-
-const INIT: [u32; 8] = [
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-];
-
-/// Number of lanes the interleaved compression processes at once.
-pub const MB_LANES: usize = crate::lanes::MB_LANES;
-
-/// One interleaved compression over four independent 64-byte blocks.
-/// Identical round algebra to [`Sha256::compress`], with every variable
-/// widened to four lanes.
-fn compress4(states: &mut [[u32; 8]; 4], blocks: [&[u8]; 4]) {
-    let mut w = [U32x4::splat(0); 64];
-    for (i, wi) in w.iter_mut().take(16).enumerate() {
-        *wi = U32x4(core::array::from_fn(|l| {
-            let c = &blocks[l][4 * i..4 * i + 4];
-            u32::from_be_bytes([c[0], c[1], c[2], c[3]])
-        }));
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15]
-            .rotr(7)
-            .xor(w[i - 15].rotr(18))
-            .xor(w[i - 15].shr(3));
-        let s1 = w[i - 2]
-            .rotr(17)
-            .xor(w[i - 2].rotr(19))
-            .xor(w[i - 2].shr(10));
-        w[i] = w[i - 16].add(s0).add(w[i - 7]).add(s1);
-    }
-    let mut v: [U32x4; 8] = core::array::from_fn(|r| U32x4(core::array::from_fn(|l| states[l][r])));
-    macro_rules! round4 {
-        ($a:expr, $b:expr, $c:expr, $d:expr, $e:expr, $f:expr, $g:expr, $h:expr, $i:expr) => {
-            let s1 = v[$e].rotr(6).xor(v[$e].rotr(11)).xor(v[$e].rotr(25));
-            let ch = v[$e].and(v[$f]).xor(v[$e].andnot(v[$g]));
-            let t1 = v[$h].add(s1).add(ch).add(U32x4::splat(K[$i])).add(w[$i]);
-            let s0 = v[$a].rotr(2).xor(v[$a].rotr(13)).xor(v[$a].rotr(22));
-            let maj = v[$a].and(v[$b]).xor(v[$a].and(v[$c])).xor(v[$b].and(v[$c]));
-            v[$d] = v[$d].add(t1);
-            v[$h] = t1.add(s0.add(maj));
-        };
-    }
-    let mut i = 0;
-    while i < 64 {
-        round4!(0, 1, 2, 3, 4, 5, 6, 7, i);
-        round4!(7, 0, 1, 2, 3, 4, 5, 6, i + 1);
-        round4!(6, 7, 0, 1, 2, 3, 4, 5, i + 2);
-        round4!(5, 6, 7, 0, 1, 2, 3, 4, i + 3);
-        round4!(4, 5, 6, 7, 0, 1, 2, 3, i + 4);
-        round4!(3, 4, 5, 6, 7, 0, 1, 2, i + 5);
-        round4!(2, 3, 4, 5, 6, 7, 0, 1, i + 6);
-        round4!(1, 2, 3, 4, 5, 6, 7, 0, i + 7);
-        i += 8;
-    }
-    for (l, state) in states.iter_mut().enumerate() {
-        for (r, s) in state.iter_mut().enumerate() {
-            *s = s.wrapping_add(v[r].0[l]);
-        }
-    }
-}
-
-/// Hashes four messages at once by interleaving their message schedules
-/// through one compression loop ([`MB_LANES`] lanes).
-///
-/// Messages may differ in length: lanes advance in lockstep for as many
-/// whole 64-byte blocks as the *shortest* message holds, then each lane's
-/// tail (remaining blocks plus padding) finishes through the scalar
-/// [`Sha256`] path. The result is bit-identical to hashing each message
-/// with [`digest`].
-pub fn digest4(msgs: [&[u8]; 4]) -> [Digest256; 4] {
-    let common = msgs.iter().map(|m| m.len() / 64).min().unwrap_or(0);
-    let mut states = [INIT; 4];
-    for b in 0..common {
-        compress4(
-            &mut states,
-            core::array::from_fn(|l| &msgs[l][b * 64..b * 64 + 64]),
-        );
-    }
-    core::array::from_fn(|l| {
-        let mut h = Sha256 {
-            state: states[l],
-            len: (common * 64) as u64,
-            buf: [0u8; 64],
-            buf_len: 0,
-        };
-        h.update(&msgs[l][common * 64..]);
-        h.finalize()
-    })
-}
-
-/// Hashes a batch of messages, using the interleaved four-lane compression
-/// for every full group of four and the scalar path for the remainder.
-/// Output order matches input order; every digest is bit-identical to the
-/// serial [`digest`] of the same message.
-pub fn digest_many(msgs: &[&[u8]]) -> Vec<Digest256> {
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut groups = msgs.chunks_exact(4);
-    for g in &mut groups {
-        out.extend(digest4([g[0], g[1], g[2], g[3]]));
-    }
-    for m in groups.remainder() {
-        out.push(digest(m));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,44 +207,6 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), digest(&data), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn digest4_matches_serial_equal_lengths() {
-        let msgs: Vec<Vec<u8>> = (0..4u8).map(|l| vec![l.wrapping_mul(17); 256]).collect();
-        let lanes: [&[u8]; 4] = core::array::from_fn(|l| msgs[l].as_slice());
-        let got = digest4(lanes);
-        for l in 0..4 {
-            assert_eq!(got[l], digest(&msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn digest4_matches_serial_ragged_lengths() {
-        let msgs: Vec<Vec<u8>> = [0usize, 63, 64, 911]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 31 + 7) as u8).collect())
-            .collect();
-        let lanes: [&[u8]; 4] = core::array::from_fn(|l| msgs[l].as_slice());
-        let got = digest4(lanes);
-        for l in 0..4 {
-            assert_eq!(got[l], digest(&msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn digest_many_matches_serial_any_count() {
-        for count in 0..9usize {
-            let msgs: Vec<Vec<u8>> = (0..count)
-                .map(|i| (0..i * 37 + 5).map(|j| (i * 13 + j) as u8).collect())
-                .collect();
-            let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            let got = digest_many(&refs);
-            assert_eq!(got.len(), count);
-            for (i, m) in msgs.iter().enumerate() {
-                assert_eq!(got[i], digest(m), "count {count} msg {i}");
-            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! must open, derivations must be pure functions of their inputs, and hex
 //! must be a lossless inverse pair.
 
-use bombdroid_crypto::{aes, blob, hex, kdf, sha1, sha256, Key128};
+use bombdroid_crypto::{aes, blob, hex, kdf, Key128};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,100 +87,5 @@ proptest! {
         prop_assert_eq!(&via_free, &via_method, "method and free fn agree");
         aes::ctr_xor(&key, nonce, &mut via_free);
         prop_assert_eq!(via_free, data, "double application restores input");
-    }
-
-    /// Multi-buffer SHA-256 matches the serial digest for every lane, for
-    /// arbitrary lane counts (exercising the 4-wide kernel, the tail, and
-    /// the empty batch) and arbitrary per-lane lengths (short, block-
-    /// boundary, and multi-block messages all land in the same schedule).
-    #[test]
-    fn sha256_digest_many_matches_serial(
-        msgs in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..200),
-            0..11,
-        ),
-    ) {
-        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let batched = sha256::digest_many(&refs);
-        prop_assert_eq!(batched.len(), msgs.len());
-        for (msg, got) in msgs.iter().zip(&batched) {
-            prop_assert_eq!(got, &sha256::digest(msg), "lane diverged from serial");
-        }
-    }
-
-    /// Same equivalence for multi-buffer SHA-1 (the manifest/nonce path).
-    #[test]
-    fn sha1_digest_many_matches_serial(
-        msgs in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..200),
-            0..11,
-        ),
-    ) {
-        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let batched = sha1::digest_many(&refs);
-        prop_assert_eq!(batched.len(), msgs.len());
-        for (msg, got) in msgs.iter().zip(&batched) {
-            prop_assert_eq!(got, &sha1::digest(msg), "lane diverged from serial");
-        }
-    }
-
-    /// Batched AES-CTR across independent (key, nonce, buffer) streams is
-    /// byte-identical to running each stream through the serial method —
-    /// block interleaving across job boundaries must never leak keystream
-    /// between jobs, whatever the buffer lengths (including empty and
-    /// non-multiple-of-16 tails).
-    #[test]
-    fn ctr_xor_batch_matches_serial(
-        jobs in proptest::collection::vec(
-            (
-                any::<[u8; 16]>(),
-                any::<u64>(),
-                proptest::collection::vec(any::<u8>(), 0..120),
-            ),
-            0..9,
-        ),
-    ) {
-        let mut serial: Vec<Vec<u8>> = jobs.iter().map(|(k, n, d)| {
-            let mut buf = d.clone();
-            aes::ctr_xor(k, *n, &mut buf);
-            buf
-        }).collect();
-        let schedules: Vec<aes::Aes128> =
-            jobs.iter().map(|(k, _, _)| aes::Aes128::new(k)).collect();
-        let mut batched: Vec<Vec<u8>> = jobs.iter().map(|(_, _, d)| d.clone()).collect();
-        {
-            let mut ctr_jobs: Vec<aes::CtrJob<'_>> = schedules
-                .iter()
-                .zip(jobs.iter())
-                .zip(batched.iter_mut())
-                .map(|((aes, (_, nonce, _)), data)| aes::CtrJob {
-                    aes,
-                    nonce: *nonce,
-                    data,
-                })
-                .collect();
-            aes::ctr_xor_batch(&mut ctr_jobs);
-        }
-        for (i, (b, s)) in batched.iter().zip(serial.iter()).enumerate() {
-            prop_assert_eq!(b, s, "job {} diverged from serial CTR", i);
-        }
-        // And the batch is an involution too: a second batched pass over
-        // the same streams restores every original buffer.
-        {
-            let mut ctr_jobs: Vec<aes::CtrJob<'_>> = schedules
-                .iter()
-                .zip(jobs.iter())
-                .zip(serial.iter_mut())
-                .map(|((aes, (_, nonce, _)), data)| aes::CtrJob {
-                    aes,
-                    nonce: *nonce,
-                    data,
-                })
-                .collect();
-            aes::ctr_xor_batch(&mut ctr_jobs);
-        }
-        for ((_, _, original), restored) in jobs.iter().zip(&serial) {
-            prop_assert_eq!(original, restored, "double batch restores input");
-        }
     }
 }

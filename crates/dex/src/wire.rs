@@ -756,7 +756,7 @@ fn read_instr(r: &mut Reader) -> Result<Instr, WireError> {
         7 => {
             let src = r.reg()?;
             let n = r.len()?;
-            let mut arms = Vec::with_capacity(n);
+            let mut arms = Vec::with_capacity(n.min(1 << 12));
             for _ in 0..n {
                 let v = r.i64()?;
                 let t = r.len()?;

@@ -522,9 +522,9 @@ impl Vm {
     }
 
     /// The legacy tree-walking interpreter over `dex::Instr`, byte-for-byte
-    /// the pre-decode semantics. Selected via `BOMBDROID_VM=legacy` (or
-    /// `VmEngine::Legacy`); also runs detached fragments, which are
-    /// attacker-side one-shots not worth pre-decoding.
+    /// the pre-decode semantics. Selected via `VmEngine::Legacy`; also runs
+    /// detached fragments, which are attacker-side one-shots not worth
+    /// pre-decoding.
     pub(crate) fn exec_body(
         &mut self,
         mref: &MethodRef,

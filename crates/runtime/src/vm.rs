@@ -58,31 +58,12 @@ pub struct AttackerHooks {
 /// (proven by the behavior-preservation suite's telemetry-identity mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmEngine {
-    /// Resolve from the `BOMBDROID_VM` environment variable at boot:
-    /// `legacy` selects the tree-walker, anything else (or unset) the
-    /// pre-decoded engine. Read once per process.
+    /// The pre-decoded engine: flat ops, fused superinstructions.
     #[default]
-    Auto,
-    /// The pre-decoded engine (default): flat ops, fused superinstructions.
     Decoded,
-    /// The legacy tree-walking interpreter over `dex::Instr`. Kept as a
-    /// release-level fallback for one release; scheduled for removal.
+    /// The legacy tree-walking interpreter over `dex::Instr`, kept as the
+    /// reference the decoded engine is checked against.
     Legacy,
-}
-
-impl VmEngine {
-    /// Whether this selection resolves to the decoded engine.
-    pub fn is_decoded(self) -> bool {
-        match self {
-            VmEngine::Decoded => true,
-            VmEngine::Legacy => false,
-            VmEngine::Auto => {
-                static ENV_LEGACY: OnceLock<bool> = OnceLock::new();
-                !*ENV_LEGACY
-                    .get_or_init(|| std::env::var("BOMBDROID_VM").is_ok_and(|v| v == "legacy"))
-            }
-        }
-    }
 }
 
 /// VM configuration.
@@ -102,8 +83,8 @@ pub struct VmOptions {
     /// same ciphertext was opened with the same key — per-VM cost charging
     /// and [`Telemetry`] are identical with the cache on or off.
     pub shared_fragment_cache: bool,
-    /// Execution engine selection (tests pin this explicitly; everything
-    /// else uses [`VmEngine::Auto`] and the `BOMBDROID_VM` variable).
+    /// Execution engine selection; only engine-identity tests pick
+    /// [`VmEngine::Legacy`].
     pub engine: VmEngine,
     /// Record control-flow edges ([`CovEdge`]) from the decoded dispatch
     /// loop — the greybox fuzzer's feedback signal. Off by default: the
@@ -123,7 +104,7 @@ impl Default for VmOptions {
             record_field_values: false,
             max_call_depth: 64,
             shared_fragment_cache: false,
-            engine: VmEngine::Auto,
+            engine: VmEngine::Decoded,
             collect_coverage: false,
             hooks: AttackerHooks::default(),
         }
@@ -321,7 +302,7 @@ impl Vm {
         opts: VmOptions,
     ) -> Self {
         let pkg = pkg.into();
-        let decoded_engine = opts.engine.is_decoded();
+        let decoded_engine = opts.engine == VmEngine::Decoded;
         let coverage = opts.collect_coverage.then(BTreeSet::new);
         Vm {
             pkg,

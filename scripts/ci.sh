@@ -114,7 +114,7 @@ run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
     --threshold 75 --filter vm/
 
 # Hard gate: the pipeline/ benchmarks (protect, plan, arm) carry the
-# batch-crypto and protection-cache wins — a regression there fails CI.
+# protect-path and protection-cache wins — a regression there fails CI.
 # Same generous threshold as the vm/ gate: jitter passes, real
 # regressions don't.
 run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \

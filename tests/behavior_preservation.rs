@@ -95,10 +95,6 @@ fn protected_corpus_is_observationally_identical_on_legit_installs() {
 /// clocks. Runs the 7-app corpus × 3 seeds on *pirated* installs so
 /// decrypt-and-execute paths and bomb responses are exercised, and
 /// compares the full [`bombdroid::runtime::Telemetry`] structs.
-///
-/// Engines are selected with explicit [`VmOptions`] rather than the
-/// `BOMBDROID_VM=legacy` environment fallback: the env var is resolved
-/// once per process, which would race with the other tests in this binary.
 #[test]
 fn decoded_and_legacy_engines_produce_identical_telemetry() {
     let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(7));
