@@ -81,9 +81,10 @@ pub fn note(kind: &'static str, detail: impl FnOnce() -> String) {
     if !crate::enabled() {
         return;
     }
-    let at_ns = epoch().elapsed().as_nanos() as u64;
     let detail = detail();
     let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
+    // Stamp under the lock so `at_ns` rises with `seq` across threads.
+    let at_ns = epoch().elapsed().as_nanos() as u64;
     let seq = ring.next_seq;
     ring.next_seq += 1;
     if ring.events.len() >= ring.capacity {
