@@ -426,13 +426,20 @@ impl DeviceEnv {
 
     /// Queries an environment property.
     pub fn query(&self, key: EnvKey) -> EnvValue {
-        if let Some(s) = self.strings.get(&key) {
-            EnvValue::Str(s.clone())
-        } else if let Some(i) = self.ints.get(&key) {
-            EnvValue::Int(*i)
-        } else {
-            EnvValue::Int(0)
+        match self.query_str(key) {
+            Some(s) => EnvValue::Str(s.to_string()),
+            None => EnvValue::Int(self.query_int(key)),
         }
+    }
+
+    /// The value of a string-valued property, by reference.
+    pub(crate) fn query_str(&self, key: EnvKey) -> Option<&str> {
+        self.strings.get(&key).map(String::as_str)
+    }
+
+    /// The value of a property that is not string-valued (`0` if absent).
+    pub(crate) fn query_int(&self, key: EnvKey) -> i64 {
+        self.ints.get(&key).copied().unwrap_or(0)
     }
 
     /// A sensor's jitter-free base value (`0` if the sensor is absent).

@@ -8,9 +8,9 @@
 //! telemetry-identity mode of `tests/behavior_preservation.rs` holds both
 //! loops to that contract.
 
-use crate::decode::{ArithRhs, DecodedBody, DecodedOp, DecodedProgram, DecodedRhs};
+use crate::decode::{ArithRhs, ArithStep, DecodedBody, DecodedOp, DecodedProgram, DecodedRhs};
 use crate::value::RtValue;
-use crate::vm::{Fault, Flow, Vm};
+use crate::vm::{Fault, Flow, Vm, FRAME_POOL_CAP};
 use bombdroid_crypto::kdf;
 use bombdroid_dex::{BlobId, CondOp, Instr, MethodRef, RegOrConst, UnOp};
 use std::collections::BTreeMap;
@@ -18,24 +18,27 @@ use std::sync::Arc;
 
 impl Vm {
     /// Calls a resolved method on the decoded engine. The caller has
-    /// already depth-checked and resolved `id`.
+    /// already depth-checked and resolved `id`. `regs` holds exactly the
+    /// arguments; it is grown into the callee's register file, and goes
+    /// back to the frame pool when the call ends.
     pub(crate) fn call_decoded(
         &mut self,
         prog: &Arc<DecodedProgram>,
         id: usize,
-        args: Vec<RtValue>,
+        mut regs: Vec<RtValue>,
         depth: usize,
     ) -> Result<RtValue, Fault> {
         let entry = prog.entry(id);
-        if args.len() != entry.params as usize {
-            return Err(Fault::BadEvent(format!(
+        if regs.len() != entry.params as usize {
+            let fault = Fault::BadEvent(format!(
                 "{}: expected {} args, got {}",
                 entry.mref,
                 entry.params,
-                args.len()
-            )));
+                regs.len()
+            ));
+            self.recycle_frame(regs);
+            return Err(fault);
         }
-        let mref = entry.mref.clone();
         let registers = entry.registers as usize;
         // Per-call accounting goes to a flat id-indexed delta table; the
         // event boundary folds it into `telemetry.method_calls` (one map
@@ -49,61 +52,121 @@ impl Vm {
         }
         self.call_deltas[id] += 1;
         self.op_mix.decode_body_fetches += 1;
-        let body = Arc::clone(prog.body(&self.pkg, id));
-        let mut regs = vec![RtValue::Null; body.frame.max(registers).max(args.len())];
-        for (i, a) in args.into_iter().enumerate() {
-            regs[i] = a;
-        }
-        self.charge(5)?;
-        match self.exec_decoded(prog, &body, &mut regs, &mref, depth, id as u32)? {
+        let body = prog.body(&self.pkg, id);
+        let frame = body.frame.max(registers).max(regs.len());
+        regs.resize(frame, RtValue::Null);
+        let flow = self
+            .charge(5)
+            .and_then(|()| self.exec_decoded(prog, body, &mut regs, id as u32, depth, id as u32));
+        self.recycle_frame(regs);
+        match flow? {
             Flow::Returned(v) => Ok(v),
             Flow::Done => Ok(RtValue::Null),
         }
     }
 
-    /// Shared compare+telemetry tail of every conditional branch (plain or
-    /// fused): operands were fetched by the caller *after* any fused write,
-    /// preserving aliasing semantics. Does not charge.
-    fn cond_branch(
-        &mut self,
-        a: RtValue,
-        b: RtValue,
-        rhs_is_const: bool,
+    /// An empty register file from the frame pool (or a new one).
+    #[inline]
+    pub(crate) fn take_frame(&mut self) -> Vec<RtValue> {
+        self.frame_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a finished call's register file to the pool, keeping at
+    /// most [`FRAME_POOL_CAP`] of them.
+    #[inline]
+    pub(crate) fn recycle_frame(&mut self, mut frame: Vec<RtValue>) {
+        if self.frame_pool.len() < FRAME_POOL_CAP {
+            frame.clear();
+            self.frame_pool.push(frame);
+        }
+    }
+
+    /// The compare of every conditional branch (plain or fused), on
+    /// operands the caller fetched *after* any fused write, preserving
+    /// aliasing semantics. Returns whether the branch is taken and whether
+    /// it is a QC-coverage hit: an equality on a constant that held (`Eq`
+    /// taken, or `Ne` fall-through). Does not charge.
+    #[inline]
+    fn compare_qc(
         cond: CondOp,
-        src_pc: usize,
-        mref: &MethodRef,
-    ) -> Result<bool, Fault> {
-        let taken = Self::compare(cond, &a, &b)?;
-        // QC-coverage telemetry: an equality on a constant that held.
-        // (`Eq` taken, or `Ne` fall-through.)
+        a: &RtValue,
+        b: &RtValue,
+        rhs_is_const: bool,
+    ) -> Result<(bool, bool), Fault> {
+        let taken = Self::compare(cond, a, b)?;
         let eq_held = match cond {
             CondOp::Eq => taken,
             CondOp::Ne => !taken,
             _ => false,
         };
-        if eq_held && rhs_is_const {
-            self.telemetry.eq_satisfied.insert((mref.clone(), src_pc));
-            if matches!(a, RtValue::Bytes(_)) {
-                self.telemetry
-                    .outer_satisfied
-                    .insert((mref.clone(), src_pc));
+        Ok((taken, eq_held && rhs_is_const))
+    }
+
+    /// Records a QC-coverage hit at `(mref, pc)`; a hit on a byte string
+    /// is also an observed outer trigger condition.
+    fn record_qc(&mut self, mref: &MethodRef, pc: usize, outer: bool) {
+        self.telemetry.eq_satisfied.insert((mref.clone(), pc));
+        if outer {
+            self.telemetry.outer_satisfied.insert((mref.clone(), pc));
+        }
+    }
+
+    /// A conditional branch on the decoded engine: [`Self::compare_qc`],
+    /// then the QC telemetry of `mref` (decoded method `method`) at
+    /// original pc `src_pc`, recorded once per site and kind.
+    #[inline]
+    fn cond_branch(
+        &mut self,
+        a: &RtValue,
+        b: &RtValue,
+        rhs_is_const: bool,
+        cond: CondOp,
+        (method, src_pc): (u32, u32),
+        mref: &MethodRef,
+    ) -> Result<bool, Fault> {
+        let (taken, qc_hit) = Self::compare_qc(cond, a, b, rhs_is_const)?;
+        if qc_hit {
+            let outer = matches!(a, RtValue::Bytes(_));
+            if self.qc_seen.insert((method, src_pc, outer)) {
+                self.record_qc(mref, src_pc as usize, outer);
             }
         }
         Ok(taken)
     }
 
     #[inline]
-    fn fetch_rhs(regs: &[RtValue], rhs: &DecodedRhs) -> (RtValue, bool) {
+    fn fetch_rhs<'a>(regs: &'a [RtValue], rhs: &'a DecodedRhs) -> (&'a RtValue, bool) {
         match rhs {
-            DecodedRhs::Slot(s) => (regs[*s].clone(), false),
-            DecodedRhs::Const(v) => (v.clone(), true),
+            DecodedRhs::Slot(s) => (&regs[*s], false),
+            DecodedRhs::Const(v) => (v, true),
         }
+    }
+
+    /// One [`DecodedOp::ArithChain`] step without its charge: lhs read,
+    /// rhs read (with the legacy fault precedence), compute, write.
+    #[inline]
+    fn arith_step(regs: &mut [RtValue], step: &ArithStep) -> Result<(), Fault> {
+        let a = regs[step.lhs]
+            .as_int()
+            .ok_or(Fault::TypeError("binop lhs not int"))?;
+        let b = match step.rhs {
+            ArithRhs::Slot(s) => regs[s]
+                .as_int()
+                .ok_or(Fault::TypeError("binop rhs not int"))?,
+            ArithRhs::Const(c) => c,
+        };
+        regs[step.dst] = RtValue::Int(Self::arith(step.op, a, b)?);
+        Ok(())
     }
 
     /// The decoded dispatch loop. `regs` is grown to the body's frame size
     /// on entry (fragments execute in their caller's frame), so every slot
     /// index is in-bounds and reads of never-written slots yield `Null`
     /// exactly like the legacy engine's out-of-range register reads.
+    ///
+    /// `method` is the flat id of the method whose frame this is: the body
+    /// itself, or the host of a decrypted fragment. QC telemetry is keyed
+    /// on its `MethodRef`, exactly as on the legacy engine.
     ///
     /// `cov_unit` names the body for coverage edges: the flat decoded
     /// method id for method bodies, `0x8000_0000 | blob id` for decrypted
@@ -115,13 +178,14 @@ impl Vm {
         prog: &Arc<DecodedProgram>,
         body: &DecodedBody,
         regs: &mut Vec<RtValue>,
-        mref: &MethodRef,
+        method: u32,
         depth: usize,
         cov_unit: u32,
     ) -> Result<Flow, Fault> {
         if regs.len() < body.frame {
             regs.resize(body.frame, RtValue::Null);
         }
+        let mref = &prog.entry(method as usize).mref;
         let ops = &body.ops[..];
         let mut pc = 0usize;
         while let Some(op) = ops.get(pc) {
@@ -179,9 +243,8 @@ impl Vm {
                     pc: src_pc,
                 } => {
                     self.charge(1)?;
-                    let a = regs[*lhs].clone();
                     let (b, is_const) = Self::fetch_rhs(regs, rhs);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
+                    if self.cond_branch(&regs[*lhs], b, is_const, *cond, (method, *src_pc), mref)? {
                         next = *target;
                     }
                     self.cov_edge(cov_unit, pc as u32, next as u32);
@@ -209,13 +272,14 @@ impl Vm {
                     args,
                     dst,
                 } => {
-                    let argv: Vec<RtValue> = args.iter().map(|&r| regs[r].clone()).collect();
                     let ret = match target {
                         Some(id) => {
                             if depth + 1 >= self.opts.max_call_depth {
                                 return Err(Fault::StackOverflow);
                             }
-                            self.call_decoded(prog, *id as usize, argv, depth + 1)?
+                            let mut frame = self.take_frame();
+                            frame.extend(args.iter().map(|&r| regs[r].clone()));
+                            self.call_decoded(prog, *id as usize, frame, depth + 1)?
                         }
                         None => {
                             // The legacy engine depth-checks before
@@ -241,16 +305,22 @@ impl Vm {
                         let at = self.clock_ms;
                         self.telemetry.reflection_trace.push((target.clone(), at));
                     }
-                    let argv: Vec<RtValue> = args.iter().map(|&r| regs[r].clone()).collect();
-                    let ret = self.reflect_call(&target, &argv)?;
+                    let mut argv = self.take_frame();
+                    argv.extend(args.iter().map(|&r| regs[r].clone()));
+                    let ret = self.reflect_call(&target, &argv);
+                    self.recycle_frame(argv);
+                    let ret = ret?;
                     if let Some(d) = dst {
                         regs[*d] = ret;
                     }
                 }
                 DecodedOp::HostCall { api, args, dst } => {
                     self.charge(10)?;
-                    let argv: Vec<RtValue> = args.iter().map(|&r| regs[r].clone()).collect();
-                    let ret = self.host_call(api, &argv)?;
+                    let mut argv = self.take_frame();
+                    argv.extend(args.iter().map(|&r| regs[r].clone()));
+                    let ret = self.host_call(api, &argv);
+                    self.recycle_frame(argv);
+                    let ret = ret?;
                     if let Some(d) = dst {
                         regs[*d] = ret;
                     }
@@ -294,14 +364,11 @@ impl Vm {
                         _ => return Err(Fault::TypeError("iput on non-object")),
                     }
                 }
-                DecodedOp::GetStatic { dst, key } => {
+                DecodedOp::GetStatic { dst, slot } => {
                     self.charge(1)?;
-                    // Unwritten statics read as 0, matching Java's default
-                    // initialization of numeric static fields.
-                    let v = self.statics.get(&**key).cloned().unwrap_or(RtValue::Int(0));
-                    regs[*dst] = v;
+                    regs[*dst] = self.get_static(*slot);
                 }
-                DecodedOp::PutStatic { src, key } => {
+                DecodedOp::PutStatic { src, slot, key } => {
                     self.charge(1)?;
                     let v = regs[*src].clone();
                     if self.opts.record_field_values {
@@ -310,13 +377,7 @@ impl Vm {
                             self.telemetry.record_field_ref(key, at, c);
                         }
                     }
-                    let statics = Arc::make_mut(&mut self.statics);
-                    match statics.get_mut(&**key) {
-                        Some(slot) => *slot = v,
-                        None => {
-                            statics.insert(key.to_string(), v);
-                        }
-                    }
+                    self.put_static(*slot, v);
                 }
                 DecodedOp::NewInstance { dst } => {
                     self.charge(2)?;
@@ -378,12 +439,12 @@ impl Vm {
                 DecodedOp::DecryptExec { blob, key_src } => {
                     let key_val = regs[*key_src].clone();
                     let fragment = self.fragment_for(BlobId(*blob), key_val)?;
-                    let fbody = Arc::clone(fragment.decoded_body(&self.pkg, prog));
+                    let fbody = fragment.decoded_body(&self.pkg, prog);
                     // Fragment pcs restart at zero; tag their coverage unit
                     // with the blob id so they never alias method edges.
                     let funit = 0x8000_0000 | *blob;
                     if let Flow::Returned(v) =
-                        self.exec_decoded(prog, &fbody, regs, mref, depth, funit)?
+                        self.exec_decoded(prog, fbody, regs, method, depth, funit)?
                     {
                         return Ok(Flow::Returned(v));
                     }
@@ -430,8 +491,7 @@ impl Vm {
                     regs[*dst] = RtValue::Bytes(Arc::from(&digest[..]));
                     // If micro-op on the written result.
                     self.charge(1)?;
-                    let a = regs[*dst].clone();
-                    if self.cond_branch(a, rhs.clone(), true, *cond, *src_pc as usize, mref)? {
+                    if self.cond_branch(&regs[*dst], rhs, true, *cond, (method, *src_pc), mref)? {
                         next = *target;
                     }
                     self.cov_edge(cov_unit, pc as u32, next as u32);
@@ -453,9 +513,8 @@ impl Vm {
                         .ok_or(Fault::TypeError("binop lhs not int"))?;
                     regs[*dst] = RtValue::Int(Self::arith(*op, a, *rhs)?);
                     self.charge(1)?;
-                    let a = regs[*dst].clone();
                     let (b, is_const) = Self::fetch_rhs(regs, cmp);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
+                    if self.cond_branch(&regs[*dst], b, is_const, *cond, (method, *src_pc), mref)? {
                         next = *target;
                     }
                     self.cov_edge(cov_unit, pc as u32, next as u32);
@@ -472,31 +531,39 @@ impl Vm {
                     self.charge(1)?;
                     regs[*dst] = value.clone();
                     self.charge(1)?;
-                    let a = regs[*dst].clone();
                     let (b, is_const) = Self::fetch_rhs(regs, rhs);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
+                    if self.cond_branch(&regs[*dst], b, is_const, *cond, (method, *src_pc), mref)? {
                         next = *target;
                     }
                     self.cov_edge(cov_unit, pc as u32, next as u32);
                 }
                 DecodedOp::ArithChain { steps } => {
                     self.op_mix.arith_chain += 1;
-                    // Each step replays its legacy micro-ops exactly:
-                    // charge, lhs read, rhs read, compute, write — so fuel
-                    // exhaustion and type/div faults land mid-chain at the
-                    // same instruction they would on the tree-walker.
-                    for step in steps.iter() {
-                        self.charge(1)?;
-                        let a = regs[step.lhs]
-                            .as_int()
-                            .ok_or(Fault::TypeError("binop lhs not int"))?;
-                        let b = match step.rhs {
-                            ArithRhs::Slot(s) => regs[s]
-                                .as_int()
-                                .ok_or(Fault::TypeError("binop rhs not int"))?,
-                            ArithRhs::Const(c) => c,
-                        };
-                        regs[step.dst] = RtValue::Int(Self::arith(step.op, a, b)?);
+                    // Each step replays its legacy micro-ops: charge, lhs
+                    // read, rhs read, compute, write. Arithmetic never
+                    // reads the clock, so when fuel covers the whole chain
+                    // one charge for the steps run (a faulting step
+                    // included) leaves instr_executed, the clock and the
+                    // fault point exactly as per-step charges would. When
+                    // fuel is short, charge per step so exhaustion lands
+                    // on the same instruction as on the tree-walker.
+                    if self.fuel >= steps.len() as u64 {
+                        let mut ran = 0u64;
+                        let mut result = Ok(());
+                        for step in steps.iter() {
+                            ran += 1;
+                            result = Self::arith_step(regs, step);
+                            if result.is_err() {
+                                break;
+                            }
+                        }
+                        self.charge(ran)?;
+                        result?;
+                    } else {
+                        for step in steps.iter() {
+                            self.charge(1)?;
+                            Self::arith_step(regs, step)?;
+                        }
                     }
                 }
                 DecodedOp::ConstArrayGet {
@@ -598,7 +665,11 @@ impl Vm {
                         RegOrConst::Reg(r) => (self.reg(regs, *r), false),
                         RegOrConst::Const(v) => (v.clone().into(), true),
                     };
-                    if self.cond_branch(a, b, is_const, *cond, pc, mref)? {
+                    let (taken, qc_hit) = Self::compare_qc(*cond, &a, &b, is_const)?;
+                    if qc_hit {
+                        self.record_qc(mref, pc, matches!(a, RtValue::Bytes(_)));
+                    }
+                    if taken {
                         next = *target;
                     }
                 }
@@ -685,13 +756,8 @@ impl Vm {
                 }
                 Instr::GetStatic { dst, field } => {
                     self.charge(1)?;
-                    // Unwritten statics read as 0, matching Java's default
-                    // initialization of numeric static fields.
-                    let v = self
-                        .statics
-                        .get(&field.to_string())
-                        .cloned()
-                        .unwrap_or(RtValue::Int(0));
+                    let slot = self.pkg.decoded_program().static_slot(&field.to_string()).0;
+                    let v = self.get_static(slot);
                     Self::set_reg(regs, *dst, v);
                 }
                 Instr::PutStatic { field, src } => {
@@ -703,7 +769,8 @@ impl Vm {
                             self.telemetry.record_field(field.to_string(), at, c);
                         }
                     }
-                    Arc::make_mut(&mut self.statics).insert(field.to_string(), v);
+                    let slot = self.pkg.decoded_program().static_slot(&field.to_string()).0;
+                    self.put_static(slot, v);
                 }
                 Instr::NewInstance { dst, class: _ } => {
                     self.charge(2)?;
@@ -799,5 +866,62 @@ impl Vm {
             pc = next;
         }
         Ok(Flow::Done)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{EventSource, RandomEventSource};
+    use crate::env::DeviceEnv;
+    use crate::package::InstalledPackage;
+    use crate::vm::VmOptions;
+    use bombdroid_apk::{package_app, AppMeta, DeveloperKey, StringsXml};
+    use bombdroid_dex::{BinOp, Class, DexFile, EntryPoint, MethodBuilder, ParamDomain, Reg};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// `T.deep(n)` recurses `n` levels, so one event can hold up to 41
+    /// frames live at once.
+    fn recursive_app() -> InstalledPackage {
+        let mut dex = DexFile::new();
+        let mut class = Class::new("T");
+        let mut b = MethodBuilder::new("T", "deep", 1);
+        let done = b.fresh_label();
+        b.if_(CondOp::Le, Reg(0), RegOrConst::Const(0i64.into()), done);
+        let next = b.fresh_reg();
+        b.bin_const(BinOp::Sub, next, Reg(0), 1);
+        b.invoke(MethodRef::new("T", "deep"), vec![next], None);
+        b.place_label(done);
+        b.ret_void();
+        class.methods.push(b.finish());
+        dex.classes.push(class);
+        dex.entry_points.push(EntryPoint {
+            event: Arc::from("onDeep"),
+            method: MethodRef::new("T", "deep"),
+            params: vec![ParamDomain::IntRange(0, 40)],
+            user_weight: 1.0,
+        });
+        let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(3));
+        let apk = package_app(&dex, StringsXml::new(), AppMeta::named("deep"), &dev);
+        InstalledPackage::install(&apk).expect("signed apk installs")
+    }
+
+    #[test]
+    fn frame_pool_stays_within_its_cap_over_a_profile() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let opts = VmOptions {
+            record_field_values: true,
+            ..VmOptions::default()
+        };
+        let mut vm = Vm::new(recursive_app(), DeviceEnv::sample(&mut rng), 5, opts);
+        let dex = Arc::clone(&vm.pkg.dex);
+        for _ in 0..10_000 {
+            let ev = RandomEventSource
+                .next_event(&dex, &mut rng)
+                .expect("the app has an entry point");
+            assert!(vm.fire_entry(ev.entry_index, ev.args).completed());
+        }
+        assert!(!vm.frame_pool.is_empty(), "finished frames are reused");
+        assert!(vm.frame_pool.len() <= FRAME_POOL_CAP);
     }
 }

@@ -118,11 +118,9 @@ impl InstalledPackage {
     /// unchanged app (every protect pass installs the original APK to
     /// profile it) reuses the existing program — and the method bodies
     /// already decoded inside it — instead of re-lowering from scratch.
-    pub(crate) fn decoded_program(&self) -> Arc<crate::decode::DecodedProgram> {
-        Arc::clone(
-            self.decoded
-                .get_or_init(|| shared_decoded_program(&self.dex, self)),
-        )
+    pub(crate) fn decoded_program(&self) -> &Arc<crate::decode::DecodedProgram> {
+        self.decoded
+            .get_or_init(|| shared_decoded_program(&self.dex, self))
     }
 }
 

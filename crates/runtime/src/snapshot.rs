@@ -32,7 +32,7 @@ pub struct VmSnapshot {
     env: DeviceEnv,
     opts: VmOptions,
     rng: StdRng,
-    statics: Arc<HashMap<String, RtValue>>,
+    statics: Arc<Vec<Option<RtValue>>>,
     objects: Arc<Vec<BTreeMap<Arc<str>, RtValue>>>,
     arrays: Arc<Vec<Vec<RtValue>>>,
     telemetry: Telemetry,
@@ -113,6 +113,8 @@ impl VmSnapshot {
             called_ids: Vec::new(),
             op_mix: self.op_mix,
             coverage: self.coverage.clone(),
+            frame_pool: Vec::new(),
+            qc_seen: BTreeSet::new(),
         }
     }
 
@@ -152,6 +154,8 @@ impl VmSnapshot {
             // Coverage is per-session feedback: a fork starts empty (but
             // keeps collection enabled iff the snapshot had it on).
             coverage: self.opts.collect_coverage.then(BTreeSet::new),
+            frame_pool: Vec::new(),
+            qc_seen: BTreeSet::new(),
         }
     }
 

@@ -7,7 +7,7 @@ use bombdroid_dex::{
     wire, BinOp, BlobId, Class, CondOp, DexFile, EncryptedBlob, Field, FieldRef, HostApi, Instr,
     MethodBuilder, MethodRef, Reg, RegOrConst, StrOp, Value,
 };
-use bombdroid_runtime::{DeviceEnv, Fault, InstalledPackage, RtValue, Vm, VmOptions};
+use bombdroid_runtime::{DeviceEnv, Fault, InstalledPackage, RtValue, Vm, VmEngine, VmOptions};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn install(dex: DexFile) -> InstalledPackage {
@@ -429,4 +429,137 @@ fn clock_advances_with_instructions_and_sleep() {
     let (vm, result) = run_one(dex, RtValue::Int(0));
     result.unwrap();
     assert!(vm.clock_ms() >= 2_500);
+}
+
+/// Boots `dex` on each engine, fires `T.m(arg)`, and returns each run's
+/// `statics_snapshot` (the engines must agree).
+fn statics_after(dex: &DexFile, arg: i64) -> Vec<(String, String)> {
+    let snaps: Vec<_> = [VmEngine::Decoded, VmEngine::Legacy]
+        .into_iter()
+        .map(|engine| {
+            let opts = VmOptions {
+                engine,
+                ..VmOptions::default()
+            };
+            let mut vm = Vm::new(
+                install(dex.clone()),
+                DeviceEnv::attacker_lab(1).remove(0),
+                42,
+                opts,
+            );
+            let out = vm.fire_method(&MethodRef::new("T", "m"), vec![RtValue::Int(arg)]);
+            out.result.unwrap();
+            vm.statics_snapshot()
+        })
+        .collect();
+    assert_eq!(snaps[0], snaps[1], "engines disagree on statics");
+    snaps[0].clone()
+}
+
+fn snap(entries: &[(&str, &str)]) -> Vec<(String, String)> {
+    entries
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+}
+
+#[test]
+fn static_written_only_inside_a_fragment_reads_back_and_is_listed() {
+    // Neither key appears in any method body: the fragment's decode is the
+    // first to see them.
+    let (v, echo) = (Reg(10), Reg(11));
+    let payload = vec![
+        Instr::Const {
+            dst: v,
+            value: Value::Int(77),
+        },
+        Instr::PutStatic {
+            field: FieldRef::new("T", "HIDDEN"),
+            src: v,
+        },
+        Instr::GetStatic {
+            dst: echo,
+            field: FieldRef::new("T", "HIDDEN"),
+        },
+        Instr::PutStatic {
+            field: FieldRef::new("T", "ECHO"),
+            src: echo,
+        },
+    ];
+    let dex = bomb_dex(payload, 31);
+    assert_eq!(statics_after(&dex, 30), snap(&[]));
+    assert_eq!(
+        statics_after(&dex, 31),
+        snap(&[("T.ECHO", "77"), ("T.HIDDEN", "77")])
+    );
+}
+
+#[test]
+fn null_out_field_nulls_exactly_the_written_statics() {
+    let dex = one_method_dex(|b| {
+        let r = b.fresh_reg();
+        b.get_static(r, FieldRef::new("T", "READ_ONLY"));
+        b.const_(r, 5i64);
+        b.put_static(FieldRef::new("T", "A"), r);
+        b.const_(r, Value::str("s"));
+        b.put_static(FieldRef::new("T", "B"), r);
+        b.host(HostApi::NullOutField, vec![], None);
+        b.ret_void();
+    });
+    assert_eq!(
+        statics_after(&dex, 0),
+        snap(&[("T.A", "null"), ("T.B", "null")])
+    );
+}
+
+#[test]
+fn unwritten_static_reads_as_int_zero() {
+    // Arithmetic on the read faults unless it is an Int.
+    let dex = one_method_dex(|b| {
+        let r = b.fresh_reg();
+        b.get_static(r, FieldRef::new("T", "NEVER"));
+        b.bin_const(BinOp::Add, r, r, 1);
+        b.put_static(FieldRef::new("T", "OUT"), r);
+        b.ret_void();
+    });
+    assert_eq!(statics_after(&dex, 0), snap(&[("T.OUT", "1")]));
+}
+
+#[test]
+fn a_forks_put_static_stays_in_that_fork() {
+    // T.m(x): COUNT += 1; if x != 0 then NEW = x.
+    let dex = one_method_dex(|b| {
+        let c = b.fresh_reg();
+        b.get_static(c, FieldRef::new("T", "COUNT"));
+        b.bin_const(BinOp::Add, c, c, 1);
+        b.put_static(FieldRef::new("T", "COUNT"), c);
+        let skip = b.fresh_label();
+        b.if_(CondOp::Eq, Reg(0), RegOrConst::Const(Value::Int(0)), skip);
+        b.put_static(FieldRef::new("T", "NEW"), Reg(0));
+        b.place_label(skip);
+        b.ret_void();
+    });
+    let mref = MethodRef::new("T", "m");
+    let env = || DeviceEnv::attacker_lab(1).remove(0);
+    let mut parent = boot(dex);
+    for _ in 0..2 {
+        parent
+            .fire_method(&mref, vec![RtValue::Int(0)])
+            .result
+            .unwrap();
+    }
+    let snapshot = parent.snapshot();
+    let mut a = snapshot.fork(env(), 1);
+    let b = snapshot.fork(env(), 2);
+    for _ in 0..3 {
+        a.fire_method(&mref, vec![RtValue::Int(9)]).result.unwrap();
+    }
+    assert_eq!(
+        a.statics_snapshot(),
+        snap(&[("T.COUNT", "5"), ("T.NEW", "9")])
+    );
+    let untouched = snap(&[("T.COUNT", "2")]);
+    assert_eq!(b.statics_snapshot(), untouched);
+    assert_eq!(snapshot.resume().statics_snapshot(), untouched);
+    assert_eq!(parent.statics_snapshot(), untouched);
 }
