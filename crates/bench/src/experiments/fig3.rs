@@ -29,17 +29,13 @@ pub fn fig3(minutes: u64) -> Fig3Data {
     let mut vm = Vm::new(pkg, DeviceEnv::sample(&mut rng), 33, opts);
     let mut source = RandomEventSource;
     bombdroid_runtime::run_session(&mut vm, &mut source, &mut rng, minutes, 60);
-    let telemetry = vm.into_telemetry();
+    let (_, _, mut field_values) = vm.into_profile();
 
     let mut series = Vec::new();
     let mut unique_counts = Vec::new();
     for var in flagship::ANDROFISH_VARS {
         let key = format!("androfish/Fish.{var}");
-        let samples = telemetry
-            .field_values
-            .get(&key)
-            .cloned()
-            .unwrap_or_default();
+        let samples = field_values.remove(&key).unwrap_or_default();
         // Last value seen in each minute.
         let mut per_minute: Vec<(u64, i64)> = Vec::new();
         for minute in 0..minutes {

@@ -5,6 +5,7 @@
 use crate::config::ProtectConfig;
 use bombdroid_apk::ApkFile;
 use bombdroid_dex::MethodRef;
+use bombdroid_runtime::telemetry::{hot_methods, FieldValues, MethodCalls};
 use bombdroid_runtime::{
     DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Telemetry, Vm, VmOptions,
 };
@@ -14,8 +15,12 @@ use std::collections::HashSet;
 /// Outcome of the profiling phase.
 #[derive(Debug, Clone)]
 pub struct ProfileResult {
-    /// Full run telemetry (method counts + field-value samples).
+    /// Run telemetry (instruction and event counts, QC coverage, ...).
     pub telemetry: Telemetry,
+    /// Per-method invocation counts (the Traceview role).
+    pub method_calls: MethodCalls,
+    /// Field-value samples, for artificial QC selection (§7.2).
+    pub field_values: FieldValues,
     /// Methods excluded from instrumentation as hot.
     pub hot: HashSet<MethodRef>,
 }
@@ -52,15 +57,19 @@ pub fn profile_app(
             break;
         }
     }
-    let telemetry = vm.into_telemetry();
-    let hot: HashSet<MethodRef> = telemetry
-        .hot_methods(config.hot_method_ratio)
+    let (telemetry, method_calls, field_values) = vm.into_profile();
+    let hot: HashSet<MethodRef> = hot_methods(&method_calls, config.hot_method_ratio)
         .into_iter()
         .collect();
     bombdroid_obs::counter_add("profile.events_run", telemetry.events_run);
     bombdroid_obs::counter_add("profile.instr_executed", telemetry.instr_executed);
     bombdroid_obs::record("profile.hot_methods", hot.len() as u64);
-    Ok(ProfileResult { telemetry, hot })
+    Ok(ProfileResult {
+        telemetry,
+        method_calls,
+        field_values,
+        hot,
+    })
 }
 
 #[cfg(test)]
@@ -109,8 +118,8 @@ mod tests {
         };
         let result = profile_app(&apk, &cfg, 7).unwrap();
         assert!(result.telemetry.events_run >= 499);
-        assert!(result.telemetry.field_values.contains_key("App.last"));
-        let samples = &result.telemetry.field_values["App.last"];
+        assert!(result.field_values.contains_key("App.last"));
+        let samples = &result.field_values["App.last"];
         assert!(samples.len() > 100);
         // 10% of 2 methods floors to 0 hot methods (tiny apps keep all
         // methods as candidates).
@@ -126,7 +135,7 @@ mod tests {
         };
         let a = profile_app(&apk, &cfg, 9).unwrap();
         let b = profile_app(&apk, &cfg, 9).unwrap();
-        assert_eq!(a.telemetry.method_calls, b.telemetry.method_calls);
+        assert_eq!(a.method_calls, b.method_calls);
         assert_eq!(a.hot, b.hot);
     }
 }

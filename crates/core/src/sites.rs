@@ -276,7 +276,6 @@ pub fn plan(
     // distinct-value order together; ranking is by distinct count
     // descending (ties by name), exactly `rank_fields` order.
     let mut ranked: Vec<(&String, Vec<&Value>, HashMap<&Value, usize>)> = profile
-        .telemetry
         .field_values
         .iter()
         .map(|(name, samples)| {
@@ -323,9 +322,8 @@ pub fn plan(
         // condition that is never evaluated can never fire on the user
         // side, so insertion sites follow the invocation profile.
         let mut by_calls: Vec<MethodRef> = candidates.clone();
-        by_calls.sort_by_key(|m| {
-            std::cmp::Reverse(profile.telemetry.method_calls.get(m).copied().unwrap_or(0))
-        });
+        by_calls
+            .sort_by_key(|m| std::cmp::Reverse(profile.method_calls.get(m).copied().unwrap_or(0)));
         let n = ((candidates.len() as f64) * config.alpha).round() as usize;
         // Pool: the warmer half of the candidates, grown if α demands more.
         let warm_pool = (by_calls.len().div_ceil(2).max(1)).max(n.min(by_calls.len()));
@@ -411,16 +409,15 @@ mod tests {
     }
 
     fn fake_profile() -> ProfileResult {
-        let mut telemetry = Telemetry::new();
         // 50 distinct values, each recurring (the planner requires values
         // the program revisits).
-        for round in 0..4u64 {
-            for i in 0..50u64 {
-                telemetry.record_field("A.counter".into(), round * 50 + i, Value::Int(i as i64));
-            }
-        }
+        let samples = (0..4u64)
+            .flat_map(|round| (0..50u64).map(move |i| (round * 50 + i, Value::Int(i as i64))))
+            .collect();
         ProfileResult {
-            telemetry,
+            telemetry: Telemetry::new(),
+            method_calls: Default::default(),
+            field_values: [("A.counter".to_string(), samples)].into_iter().collect(),
             hot: HashSet::new(),
         }
     }

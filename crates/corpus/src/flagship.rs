@@ -255,7 +255,7 @@ mod tests {
                 .result?;
             }
         }
-        let fv = &vm.telemetry().field_values;
+        let fv = vm.field_values();
         let uniques = |name: &str| -> usize {
             let samples = &fv[&format!("androfish/Fish.{name}")];
             let set: std::collections::HashSet<_> =

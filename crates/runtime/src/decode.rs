@@ -11,18 +11,21 @@
 //! * branch targets are remapped to decoded-instruction offsets;
 //! * `Invoke` callees are resolved through the package's O(1) dispatch
 //!   index into flat method ids, so calls skip the per-call hash lookup;
-//! * constants are pre-converted into [`RtValue`]s, and each static-field
-//!   key (`Class.field`) is interned once into a dense slot of the
-//!   program's static table, so `GetStatic`/`PutStatic` index a vector
-//!   instead of rendering and hashing a string per execution (decrypted
-//!   fragments intern their keys when they are decoded; the legacy
-//!   tree-walker resolves names through the same table);
+//! * constants are pre-converted into [`RtValue`]s, and each field key
+//!   (`Class.field`) is interned once into a dense slot of the program's
+//!   key table, so `GetStatic`/`PutStatic` index the statics vector and
+//!   field-value profiling indexes the VM's sample table instead of
+//!   rendering and hashing a string per execution (decrypted fragments
+//!   intern their keys when they are decoded; the legacy tree-walker
+//!   resolves names through the same table);
 //! * hot instruction pairs are fused into superinstructions
 //!   ([`DecodedOp::HashIf`], [`DecodedOp::BinOpConstIf`],
 //!   [`DecodedOp::ConstIf`], [`DecodedOp::ConstArrayGet`]), and
 //!   straight-line runs of arithmetic become a single
 //!   [`DecodedOp::ArithChain`], when no consumed instruction is a branch
-//!   target.
+//!   target; a run whose every step updates one register in place
+//!   (`a = a <op> rhs`) becomes an [`DecodedOp::AccChain`], which keeps
+//!   that register in a local.
 //!
 //! The decoded form is an *encoding* change only: every fused op replays
 //! the exact micro-op sequence of the original pair (charge, write,
@@ -54,6 +57,25 @@ pub(crate) enum ArithRhs {
     Slot(usize),
     /// Pre-decoded literal (a fused `BinOpConst`).
     Const(i64),
+}
+
+/// Right-hand operand of an [`DecodedOp::AccChain`] step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AccRhs {
+    /// The accumulator itself (`a = a <op> a`).
+    Acc,
+    /// A frame slot other than the accumulator; no step of the chain
+    /// writes it.
+    Slot(usize),
+    /// Pre-decoded literal.
+    Const(i64),
+}
+
+/// One step of an accumulator chain: `a = a <op> rhs`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccStep {
+    pub op: BinOp,
+    pub rhs: AccRhs,
 }
 
 /// One step of a fused arithmetic chain: `dst = lhs <op> rhs`.
@@ -121,7 +143,7 @@ pub(crate) enum DecodedOp {
         /// Flat method id in the [`DecodedProgram`], `None` if the callee
         /// does not resolve in this package.
         target: Option<u32>,
-        /// Retained for `method_calls` telemetry and `UnknownMethod` faults.
+        /// Retained for `UnknownMethod` faults.
         mref: MethodRef,
         args: Box<[usize]>,
         dst: Option<usize>,
@@ -145,20 +167,19 @@ pub(crate) enum DecodedOp {
         obj: usize,
         src: usize,
         name: Arc<str>,
-        /// Pre-rendered `Class.field` display form for field-value profiling.
-        display: Arc<str>,
+        /// Slot of the `Class.field` key (see [`DecodedProgram::field_slot`]),
+        /// for field-value profiling.
+        key: usize,
     },
     GetStatic {
         dst: usize,
-        /// Slot in the program's static table (see
-        /// [`DecodedProgram::static_slot`]).
+        /// Slot of the `Class.field` key in the program's key table (see
+        /// [`DecodedProgram::field_slot`]), which indexes the statics.
         slot: usize,
     },
     PutStatic {
         src: usize,
         slot: usize,
-        /// The `Class.field` key, for field-value profiling.
-        key: Arc<str>,
     },
     NewInstance {
         dst: usize,
@@ -248,6 +269,14 @@ pub(crate) enum DecodedOp {
     ArithChain {
         steps: Box<[ArithStep]>,
     },
+    /// An [`DecodedOp::ArithChain`] whose every step is `a = a <op> rhs`
+    /// on the one register `acc`: the engine reads `acc` once, runs the
+    /// steps on a local `i64`, and writes it back once, after the last step
+    /// that completed.
+    AccChain {
+        acc: usize,
+        steps: Box<[AccStep]>,
+    },
 }
 
 /// A fully decoded method body (or decrypted fragment body).
@@ -270,19 +299,21 @@ pub(crate) struct DecodedMethodEntry {
     body: OnceLock<Arc<DecodedBody>>,
 }
 
-/// Dense numbering of static-field keys. Slots are handed out in first-
-/// decode order, which may differ between runs when bodies decode on
-/// several threads; nothing observable depends on it, because every view
-/// of the statics ([`crate::Vm::statics_snapshot`]) goes back to the keys.
+/// Dense numbering of field keys (`Class.field`), shared by statics and
+/// instance fields. Slots are handed out in first-decode order, which may
+/// differ between runs when bodies decode on several threads; nothing
+/// observable depends on it, because every view of the statics
+/// ([`crate::Vm::statics_snapshot`]) and of the field samples
+/// ([`crate::Vm::field_values`]) goes back to the keys.
 #[derive(Debug, Default)]
-struct StaticSlots {
+struct FieldSlots {
     index: HashMap<Arc<str>, usize>,
     keys: Vec<Arc<str>>,
 }
 
 /// Per-package decoded program: a flat table of every method, indexed by
-/// `class_offsets[ci] + mi`, plus the static-field slot table, shared by
-/// all VMs (and forked sessions) booting the package.
+/// `class_offsets[ci] + mi`, plus the field-key slot table, shared by all
+/// VMs (and forked sessions) booting the package.
 #[derive(Debug)]
 pub(crate) struct DecodedProgram {
     class_offsets: Vec<usize>,
@@ -290,7 +321,7 @@ pub(crate) struct DecodedProgram {
     /// Flat method id of each entry point's handler, `None` if it does not
     /// resolve.
     entry_targets: Vec<Option<usize>>,
-    statics: Mutex<StaticSlots>,
+    fields: Mutex<FieldSlots>,
 }
 
 impl DecodedProgram {
@@ -315,7 +346,7 @@ impl DecodedProgram {
             class_offsets,
             methods,
             entry_targets: Vec::new(),
-            statics: Mutex::new(StaticSlots::default()),
+            fields: Mutex::new(FieldSlots::default()),
         };
         prog.entry_targets = pkg
             .dex
@@ -331,33 +362,42 @@ impl DecodedProgram {
         self.entry_targets.get(index).copied().flatten()
     }
 
-    /// The slot of static key `key` (`Class.field`) and its shared key
-    /// string, assigning the next free slot on first sight. Called at
-    /// decode time, never per executed instruction (except by the legacy
-    /// tree-walker).
-    pub fn static_slot(&self, key: &str) -> (usize, Arc<str>) {
-        let mut slots = self.statics.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((k, &slot)) = slots.index.get_key_value(key) {
-            return (slot, Arc::clone(k));
+    /// The slot of field key `key` (`Class.field`), assigning the next
+    /// free slot on first sight. Called at decode time, never per executed
+    /// instruction (except by the legacy tree-walker).
+    pub fn field_slot(&self, key: &str) -> usize {
+        let mut slots = self.fields.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&slot) = slots.index.get(key) {
+            return slot;
         }
         let slot = slots.keys.len();
         let k: Arc<str> = Arc::from(key);
         slots.keys.push(Arc::clone(&k));
-        slots.index.insert(Arc::clone(&k), slot);
-        (slot, k)
+        slots.index.insert(k, slot);
+        slot
     }
 
     /// The key of every slot assigned so far, indexed by slot.
-    pub fn static_keys(&self) -> Vec<Arc<str>> {
-        let slots = self.statics.lock().unwrap_or_else(|e| e.into_inner());
+    pub fn field_keys(&self) -> Vec<Arc<str>> {
+        let slots = self.fields.lock().unwrap_or_else(|e| e.into_inner());
         slots.keys.clone()
+    }
+
+    /// Number of methods in the flat table.
+    pub fn method_count(&self) -> usize {
+        self.methods.len()
+    }
+
+    /// The flat id of method `mi` of class `ci`.
+    pub fn flat_id(&self, ci: usize, mi: usize) -> usize {
+        self.class_offsets[ci] + mi
     }
 
     /// Resolves a method reference to its flat id, with exactly the legacy
     /// shadowing semantics (via the package's dispatch index).
     pub fn resolve(&self, pkg: &InstalledPackage, mref: &MethodRef) -> Option<usize> {
         pkg.resolve_method(mref)
-            .map(|(ci, mi)| self.class_offsets[ci] + mi)
+            .map(|(ci, mi)| self.flat_id(ci, mi))
     }
 
     /// The method entry for a flat id.
@@ -443,7 +483,7 @@ pub(crate) fn decode_body(
                 .iter()
                 .map(|i| arith_step(&mut max, i))
                 .collect();
-            ops.push(DecodedOp::ArithChain { steps });
+            ops.push(acc_chain(&steps).unwrap_or(DecodedOp::ArithChain { steps }));
             // Interior pcs are unreachable (not branch targets); map them
             // past the chain so a malformed jump cannot land mid-chain.
             pc_map[pc + 1..pc + run].fill(ops.len());
@@ -511,6 +551,27 @@ fn arith_step(max: &mut usize, instr: &Instr) -> ArithStep {
         },
         _ => unreachable!("arith_step caller checked the instruction kind"),
     }
+}
+
+/// Lowers a chain whose every step is `a = a <op> rhs` on one register `a`
+/// into an [`DecodedOp::AccChain`]; `None` for a mixed chain.
+fn acc_chain(steps: &[ArithStep]) -> Option<DecodedOp> {
+    let acc = steps[0].dst;
+    if !steps.iter().all(|s| s.dst == acc && s.lhs == acc) {
+        return None;
+    }
+    let steps = steps
+        .iter()
+        .map(|s| AccStep {
+            op: s.op,
+            rhs: match s.rhs {
+                ArithRhs::Slot(r) if r == acc => AccRhs::Acc,
+                ArithRhs::Slot(r) => AccRhs::Slot(r),
+                ArithRhs::Const(c) => AccRhs::Const(c),
+            },
+        })
+        .collect();
+    Some(DecodedOp::AccChain { acc, steps })
 }
 
 /// Attempts to fuse the pair at (`first`, `second`); `if_pc` is the
@@ -678,20 +739,16 @@ fn lower(
             obj: slot(max, *obj),
             src: slot(max, *src),
             name: field.name.clone(),
-            display: Arc::from(field.to_string()),
+            key: prog.field_slot(&field.to_string()),
         },
         Instr::GetStatic { dst, field } => DecodedOp::GetStatic {
             dst: slot(max, *dst),
-            slot: prog.static_slot(&field.to_string()).0,
+            slot: prog.field_slot(&field.to_string()),
         },
-        Instr::PutStatic { field, src } => {
-            let (static_slot, key) = prog.static_slot(&field.to_string());
-            DecodedOp::PutStatic {
-                src: slot(max, *src),
-                slot: static_slot,
-                key,
-            }
-        }
+        Instr::PutStatic { field, src } => DecodedOp::PutStatic {
+            src: slot(max, *src),
+            slot: prog.field_slot(&field.to_string()),
+        },
         Instr::NewInstance { dst, class: _ } => DecodedOp::NewInstance {
             dst: slot(max, *dst),
         },
@@ -733,5 +790,45 @@ fn lower(
             msg: Arc::from(msg.as_str()),
         },
         Instr::Nop => DecodedOp::Nop,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accumulator_chains_do_not_grow_the_op() {
+        // 80 bytes on 64-bit targets before `AccChain` existed; the
+        // dispatch loop walks arrays of these.
+        assert!(std::mem::size_of::<DecodedOp>() <= 80);
+    }
+
+    #[test]
+    fn only_in_place_runs_become_accumulator_chains() {
+        let step = |op, dst, lhs, rhs| ArithStep { op, dst, lhs, rhs };
+        let in_place = [
+            step(BinOp::Add, 2, 2, ArithRhs::Const(1)),
+            step(BinOp::Mul, 2, 2, ArithRhs::Slot(2)),
+            step(BinOp::Xor, 2, 2, ArithRhs::Slot(0)),
+        ];
+        match acc_chain(&in_place) {
+            Some(DecodedOp::AccChain { acc: 2, steps }) => {
+                assert!(matches!(steps[0].rhs, AccRhs::Const(1)));
+                assert!(matches!(steps[1].rhs, AccRhs::Acc));
+                assert!(matches!(steps[2].rhs, AccRhs::Slot(0)));
+            }
+            other => panic!("expected an accumulator chain, got {other:?}"),
+        }
+        let mixed = [
+            step(BinOp::Add, 2, 2, ArithRhs::Const(1)),
+            step(BinOp::Add, 3, 2, ArithRhs::Const(1)),
+        ];
+        assert!(acc_chain(&mixed).is_none());
+        let other_lhs = [
+            step(BinOp::Add, 2, 2, ArithRhs::Const(1)),
+            step(BinOp::Add, 2, 1, ArithRhs::Const(1)),
+        ];
+        assert!(acc_chain(&other_lhs).is_none());
     }
 }

@@ -7,6 +7,19 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Cap on recorded samples per field, to bound memory in long profiles.
 pub const FIELD_SAMPLE_CAP: usize = 8_192;
 
+/// Per-method invocation counts (the Traceview analogue). A `BTreeMap`, so
+/// profile reports and hot-method derivation iterate in a stable order
+/// regardless of hasher state. The VM counts into a dense table indexed by
+/// method id and builds this map only when asked ([`crate::Vm::method_calls`]).
+pub type MethodCalls = BTreeMap<MethodRef, u64>;
+
+/// Scalar values written to fields over time, `(virtual ms, value)` in
+/// write order and keyed by `Class.field` (profiling for artificial QC
+/// selection, §7.2, and Fig. 3); capped at [`FIELD_SAMPLE_CAP`] per key. A
+/// static and an instance field with the same key share one list. Built on
+/// demand from the VM's per-key sample table ([`crate::Vm::field_values`]).
+pub type FieldValues = BTreeMap<String, Vec<(u64, Value)>>;
+
 /// A user-visible or destructive response fired by a detection payload
 /// (paper §4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +45,9 @@ pub struct ResponseEvent {
     pub at_ms: u64,
 }
 
-/// Everything recorded while a VM runs.
+/// Everything recorded while a VM runs, apart from the two profile tables
+/// ([`MethodCalls`], [`FieldValues`]), which the VM keeps dense and hands
+/// out on demand.
 ///
 /// Derives `PartialEq`/`Eq` so suites can assert *bit-identity* between
 /// runs — the telemetry-identity mode of `tests/behavior_preservation.rs`
@@ -43,10 +58,6 @@ pub struct Telemetry {
     pub instr_executed: u64,
     /// Events fired through entry points.
     pub events_run: u64,
-    /// Per-method invocation counts (the Traceview analogue). A `BTreeMap`
-    /// so profile reports and hot-method derivation iterate in a stable
-    /// order regardless of hasher state.
-    pub method_calls: BTreeMap<MethodRef, u64>,
     /// Obfuscated outer trigger conditions observed *satisfied*:
     /// `(method, pc)` of a hash-equality branch that evaluated true.
     pub outer_satisfied: BTreeSet<(MethodRef, usize)>,
@@ -71,9 +82,6 @@ pub struct Telemetry {
     pub logs: Vec<String>,
     /// Bytes leaked by `LeakMemory` responses.
     pub leaked_bytes: u64,
-    /// Scalar values written to fields over time (profiling for artificial
-    /// QC selection, §7.2, and Fig. 3); capped per field.
-    pub field_values: BTreeMap<String, Vec<(u64, Value)>>,
     /// Reflection calls observed by an attacker hook (name, at_ms).
     pub reflection_trace: Vec<(String, u64)>,
 }
@@ -93,46 +101,20 @@ impl Telemetry {
     pub fn bombs_triggered(&self) -> usize {
         self.markers.len()
     }
+}
 
-    /// Records a field write, respecting the per-field cap. Public so test
-    /// fixtures and the protector's planner can synthesize profiles.
-    pub fn record_field(&mut self, field: String, at_ms: u64, value: Value) {
-        let samples = self.field_values.entry(field).or_default();
-        if samples.len() < FIELD_SAMPLE_CAP {
-            samples.push((at_ms, value));
-        }
-    }
-
-    /// [`Self::record_field`] by reference: the key is only materialized on
-    /// a field's first sample, so steady-state profiling (thousands of
-    /// writes to a handful of fields) never allocates for the lookup.
-    pub(crate) fn record_field_ref(&mut self, field: &str, at_ms: u64, value: Value) {
-        match self.field_values.get_mut(field) {
-            Some(samples) => {
-                if samples.len() < FIELD_SAMPLE_CAP {
-                    samples.push((at_ms, value));
-                }
-            }
-            None => {
-                self.field_values
-                    .insert(field.to_string(), vec![(at_ms, value)]);
-            }
-        }
-    }
-
-    /// Hot methods: the `ratio` most-frequently-invoked methods (the paper
-    /// excludes the top 10% from instrumentation, §7.1).
-    pub fn hot_methods(&self, ratio: f64) -> Vec<MethodRef> {
-        let mut counts: Vec<(&MethodRef, u64)> =
-            self.method_calls.iter().map(|(m, c)| (m, *c)).collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        let take = ((counts.len() as f64) * ratio).floor() as usize;
-        counts
-            .into_iter()
-            .take(take)
-            .map(|(m, _)| m.clone())
-            .collect()
-    }
+/// Hot methods: the `ratio` most-frequently-invoked methods of a call-count
+/// table (the paper excludes the top 10% from instrumentation, §7.1). Ties
+/// break by method name, so the set is deterministic.
+pub fn hot_methods(calls: &MethodCalls, ratio: f64) -> Vec<MethodRef> {
+    let mut counts: Vec<(&MethodRef, u64)> = calls.iter().map(|(m, c)| (m, *c)).collect();
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    let take = ((counts.len() as f64) * ratio).floor() as usize;
+    counts
+        .into_iter()
+        .take(take)
+        .map(|(m, _)| m.clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -141,34 +123,28 @@ mod tests {
 
     #[test]
     fn hot_methods_takes_top_ratio() {
-        let mut t = Telemetry::new();
-        for (name, count) in [("a", 100u64), ("b", 50), ("c", 10), ("d", 5), ("e", 1)] {
-            t.method_calls.insert(MethodRef::new("C", name), count);
-        }
-        let hot = t.hot_methods(0.2);
+        let calls: MethodCalls = [("a", 100u64), ("b", 50), ("c", 10), ("d", 5), ("e", 1)]
+            .into_iter()
+            .map(|(name, count)| (MethodRef::new("C", name), count))
+            .collect();
+        let hot = hot_methods(&calls, 0.2);
         assert_eq!(hot.len(), 1);
         assert_eq!(&*hot[0].name, "a");
-        let hot40 = t.hot_methods(0.4);
+        let hot40 = hot_methods(&calls, 0.4);
         assert_eq!(hot40.len(), 2);
     }
 
     #[test]
-    fn method_calls_iterate_deterministically_sorted() {
-        let mut t = Telemetry::new();
-        for name in ["zed", "alpha", "mid", "beta"] {
-            t.method_calls.insert(MethodRef::new("C", name), 1);
-        }
-        let names: Vec<String> = t.method_calls.keys().map(|m| m.name.to_string()).collect();
-        assert_eq!(names, vec!["alpha", "beta", "mid", "zed"]);
-    }
-
-    #[test]
-    fn field_cap_respected() {
-        let mut t = Telemetry::new();
-        for i in 0..(FIELD_SAMPLE_CAP + 100) {
-            t.record_field("F.x".into(), i as u64, Value::Int(i as i64));
-        }
-        assert_eq!(t.field_values["F.x"].len(), FIELD_SAMPLE_CAP);
+    fn hot_method_ties_break_by_name() {
+        let calls: MethodCalls = ["zed", "alpha", "mid", "beta"]
+            .into_iter()
+            .map(|name| (MethodRef::new("C", name), 1))
+            .collect();
+        let names: Vec<String> = hot_methods(&calls, 0.5)
+            .iter()
+            .map(|m| m.name.to_string())
+            .collect();
+        assert_eq!(names, vec!["alpha", "beta"]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() {
     println!(
         "profiled {} events; {} methods invoked; {} hot methods excluded",
         profile.telemetry.events_run,
-        profile.telemetry.method_calls.len(),
+        profile.method_calls.len(),
         profile.hot.len()
     );
     let sites = qc::scan_dex(&apk.dex);
@@ -54,7 +54,6 @@ fn main() {
         strong
     );
     let mut ranked: Vec<_> = profile
-        .telemetry
         .field_values
         .iter()
         .map(|(f, samples)| {

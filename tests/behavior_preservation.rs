@@ -129,10 +129,16 @@ fn decoded_and_legacy_engines_produce_identical_telemetry() {
                 let mut vm = Vm::new(pkg, env, session_seed ^ 0xBEEF, opts);
                 let mut source = RandomEventSource;
                 run_session(&mut vm, &mut source, &mut rng, 40, 60);
-                (vm.statics_snapshot(), vm.clock_ms(), vm.into_telemetry())
+                let calls = vm.method_calls();
+                (
+                    vm.statics_snapshot(),
+                    vm.clock_ms(),
+                    calls,
+                    vm.into_telemetry(),
+                )
             };
-            let (d_statics, d_clock, d_tel) = run(VmEngine::Decoded);
-            let (l_statics, l_clock, l_tel) = run(VmEngine::Legacy);
+            let (d_statics, d_clock, d_calls, d_tel) = run(VmEngine::Decoded);
+            let (l_statics, l_clock, l_calls, l_tel) = run(VmEngine::Legacy);
             // The named counters first, for a readable failure...
             assert_eq!(
                 d_tel.instr_executed, l_tel.instr_executed,
@@ -140,7 +146,7 @@ fn decoded_and_legacy_engines_produce_identical_telemetry() {
                 app.name
             );
             assert_eq!(
-                d_tel.method_calls, l_tel.method_calls,
+                d_calls, l_calls,
                 "{} seed {session_seed}: method_calls diverged",
                 app.name
             );

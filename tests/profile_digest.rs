@@ -22,13 +22,13 @@ fn absorb_profile(h: &mut Sha256, p: &ProfileResult) {
     let t = &p.telemetry;
     h.update(&t.instr_executed.to_le_bytes());
     h.update(&t.events_run.to_le_bytes());
-    h.update(&(t.method_calls.len() as u64).to_le_bytes());
-    for (m, n) in &t.method_calls {
+    h.update(&(p.method_calls.len() as u64).to_le_bytes());
+    for (m, n) in &p.method_calls {
         absorb(h, m.to_string().as_bytes());
         h.update(&n.to_le_bytes());
     }
-    h.update(&(t.field_values.len() as u64).to_le_bytes());
-    for (field, samples) in &t.field_values {
+    h.update(&(p.field_values.len() as u64).to_le_bytes());
+    for (field, samples) in &p.field_values {
         absorb(h, field.as_bytes());
         h.update(&(samples.len() as u64).to_le_bytes());
         for (at_ms, v) in samples {
@@ -55,7 +55,6 @@ fn profile_output_matches_pinned_digest() {
         let profile = profile_app(&apk, &config, 0x9F0F + ai as u64).expect("profile succeeds");
         assert_eq!(profile.telemetry.events_run, config.profiling_events);
         capped += profile
-            .telemetry
             .field_values
             .values()
             .filter(|s| s.len() == FIELD_SAMPLE_CAP)
