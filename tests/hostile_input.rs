@@ -1,9 +1,17 @@
 //! Inputs that cross a trust boundary must decode to a value or a typed
 //! error. A length field may never size an allocation on its own: these
 //! fragments declare counts near `u32::MAX` over a few bytes of input, and
-//! decoding them must fail cleanly instead of aborting the process.
+//! decoding them must fail cleanly instead of aborting the process. An
+//! uploaded app's code is such an input too: profiling it may not allocate
+//! without bound.
 
-use bombdroid::dex::wire;
+use bombdroid::core::{profile_app, ProtectConfig};
+use bombdroid::dex::{
+    wire, Class, DexFile, EntryPoint, Instr, MethodBuilder, MethodRef, StrOp, Value,
+};
+use bombdroid::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
+use std::sync::Arc;
 
 #[test]
 fn oversized_counts_in_fragments_are_errors() {
@@ -22,5 +30,56 @@ fn oversized_counts_in_fragments_are_errors() {
             wire::decode_fragment(bytes).is_err(),
             "{bytes:02x?} must be rejected"
         );
+    }
+}
+
+/// A one-method app whose only event handler runs `body` on a fresh
+/// register.
+fn hostile_app(name: &str, body: impl FnOnce(&mut MethodBuilder)) -> ApkFile {
+    let mut dex = DexFile::new();
+    let mut class = Class::new("H");
+    let mut b = MethodBuilder::new("H", "onEvent", 0);
+    body(&mut b);
+    class.methods.push(b.finish());
+    dex.classes.push(class);
+    dex.entry_points.push(EntryPoint {
+        event: Arc::from("onEvent"),
+        method: MethodRef::new("H", "onEvent"),
+        params: vec![],
+        user_weight: 1.0,
+    });
+    let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(0x4EA9));
+    package_app(&dex, StringsXml::new(), AppMeta::named(name), &dev)
+}
+
+#[test]
+fn runaway_allocation_in_an_uploaded_app_is_a_fault() {
+    // Each event of the first app asks for arrays of 10^6 slots until its
+    // fuel runs out (~100k of them); each event of the second doubles a
+    // string until its fuel runs out. Both stop at the VM's heap budget.
+    let arrays = hostile_app("arrays", |b| {
+        let (len, arr) = (b.fresh_reg(), b.fresh_reg());
+        b.const_(len, 1_000_000i64);
+        let top = b.fresh_label();
+        b.place_label(top);
+        b.push(Instr::NewArray { dst: arr, len });
+        b.goto(top);
+    });
+    let concat = hostile_app("concat", |b| {
+        let s = b.fresh_reg();
+        b.const_(s, Value::str("ab"));
+        let top = b.fresh_label();
+        b.place_label(top);
+        b.str_op(StrOp::Concat, s, s, Some(s));
+        b.goto(top);
+    });
+    let config = ProtectConfig {
+        profiling_events: 200,
+        ..ProtectConfig::default()
+    };
+    for apk in [arrays, concat] {
+        let profile = profile_app(&apk, &config, 7).expect("profiling returns");
+        assert_eq!(profile.telemetry.events_run, config.profiling_events);
+        assert_eq!(profile.method_calls[&MethodRef::new("H", "onEvent")], 200);
     }
 }
