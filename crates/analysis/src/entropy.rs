@@ -33,8 +33,8 @@ impl FieldEntropy {
 
 /// Ranks profiled fields by distinct-value count, descending (ties broken
 /// by name for determinism). Input is an iterator of
-/// `(field_name, samples)` pairs — the shape of
-/// `Telemetry::field_values`.
+/// `(field_name, samples)` pairs — the shape of the runtime's
+/// `FieldValues` profile table.
 pub fn rank_fields<'a, I>(fields: I) -> Vec<FieldEntropy>
 where
     I: IntoIterator<Item = (&'a String, &'a Vec<(u64, Value)>)>,
