@@ -118,7 +118,7 @@ fn drive(apk: &ApkFile, seed: u64, minutes: u64) -> (Vec<String>, Vec<(String, S
     let mut rng = StdRng::seed_from_u64(seed);
     let env = DeviceEnv::sample(&mut rng);
     let mut vm = Vm::boot(pkg, env, seed ^ 0xD00D);
-    let mut source = UserEventSource;
+    let mut source = UserEventSource::new(&vm.pkg);
     let r = run_session(&mut vm, &mut source, &mut rng, minutes, 60);
     (
         vm.telemetry().logs.clone(),

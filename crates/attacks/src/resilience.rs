@@ -306,7 +306,7 @@ fn instrumentation_cell(
         let mut rng = StdRng::seed_from_u64(seed ^ (s * 7919));
         let env = DeviceEnv::sample(&mut rng);
         let mut vm = Vm::boot(pkg.clone(), env, seed ^ s);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         let r = run_session(&mut vm, &mut source, &mut rng, 10, 60);
         events += r.events;
         patched_faults += r.faulted;
@@ -316,7 +316,7 @@ fn instrumentation_cell(
         let mut rng = StdRng::seed_from_u64(seed ^ (s * 7919));
         let env = DeviceEnv::sample(&mut rng);
         let mut vm = Vm::boot(ref_pkg.clone(), env, seed ^ s);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         let r = run_session(&mut vm, &mut source, &mut rng, 10, 60);
         ref_faults += r.faulted;
     }

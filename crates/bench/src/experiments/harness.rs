@@ -11,7 +11,6 @@ use bombdroid_corpus::{flagship, GeneratedApp};
 use bombdroid_obs as obs;
 use bombdroid_runtime::{
     DeviceEnv, EventSource, InstalledPackage, RandomEventSource, SessionPool, UserEventSource, Vm,
-    VmOptions,
 };
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
@@ -177,24 +176,6 @@ pub fn shared_cache() -> &'static ProtectedAppCache {
     CACHE.get_or_init(ProtectedAppCache::new)
 }
 
-/// [`VmOptions`] for fleet sessions: many devices run the same protected
-/// package, so decrypted fragments are shared process-wide (per-VM
-/// telemetry and cost charging are unchanged by the cache).
-fn fleet_vm_options() -> VmOptions {
-    VmOptions {
-        shared_fragment_cache: true,
-        ..VmOptions::default()
-    }
-}
-
-/// A pristine [`SessionPool`] over `pkg` with the fleet options. Sessions
-/// minted from it are bit-identical to direct `Vm::new` boots, but share
-/// the package's decoded program, so the per-method lowering pass runs
-/// once per package instead of once per device.
-pub fn session_pool(pkg: Arc<InstalledPackage>) -> SessionPool {
-    SessionPool::new(pkg, fleet_vm_options())
-}
-
 /// Drives one user session until the first bomb triggers; `None` if the
 /// cap is reached first.
 pub fn time_to_first_bomb(pool: &SessionPool, seed: u64, cap_minutes: u64) -> Option<u64> {
@@ -204,7 +185,7 @@ pub fn time_to_first_bomb(pool: &SessionPool, seed: u64, cap_minutes: u64) -> Op
     // device types, SDK versions, CPU/ABI between runs).
     let env = DeviceEnv::sample(&mut rng);
     let mut vm = pool.session(env, seed ^ 0x7E57);
-    let mut source = UserEventSource;
+    let mut source = UserEventSource::new(&vm.pkg);
     let dex = Arc::clone(&vm.pkg.dex);
     let deadline = cap_minutes * 60_000;
     // Engaged users: ~30 meaningful events per minute.
@@ -236,7 +217,7 @@ pub fn drive_events(apk: &ApkFile, events: u64, seed: u64) -> Result<u64, Experi
     let _span = obs::span("vm.drive");
     let pkg = InstalledPackage::install(apk)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut vm = Vm::new(pkg, DeviceEnv::sample(&mut rng), seed, fleet_vm_options());
+    let mut vm = Vm::boot(pkg, DeviceEnv::sample(&mut rng), seed);
     let mut source = RandomEventSource;
     let dex = Arc::clone(&vm.pkg.dex);
     for _ in 0..events {

@@ -46,8 +46,8 @@ pub use guided::{
     GUIDED_SCHEMA_VERSION,
 };
 pub use harness::{
-    default_fleet, drive_events, flagships, protect_app, session_pool, shared_cache,
-    time_to_first_bomb, ExperimentError, ProtectedAppCache, PROTECT_BASE,
+    default_fleet, drive_events, flagships, protect_app, shared_cache, time_to_first_bomb,
+    ExperimentError, ProtectedAppCache, PROTECT_BASE,
 };
 pub use population::{
     population_config, population_json, population_rows, validate_population_json,

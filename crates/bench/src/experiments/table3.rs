@@ -1,13 +1,12 @@
 //! Table 3 — time to the first triggered bomb in user sessions.
 
 use super::harness::{
-    default_fleet, flagships, session_pool, shared_cache, time_to_first_bomb, ExperimentError,
-    PROTECT_BASE,
+    default_fleet, flagships, shared_cache, time_to_first_bomb, ExperimentError, PROTECT_BASE,
 };
 use crate::fixed_keys;
 use bombdroid_apk::repackage;
 use bombdroid_core::{derive_seed, expect_all, run_fleet, FleetConfig, ProtectConfig};
-use bombdroid_runtime::InstalledPackage;
+use bombdroid_runtime::{InstalledPackage, SessionPool, VmOptions};
 
 /// One Table 3 row.
 #[derive(Debug, Clone)]
@@ -53,7 +52,10 @@ pub fn table3_with(
             let pirated = repackage(&artifact.1, &pirate, |_| {});
             // All of this task's sessions mint from one pristine pool:
             // bit-identical to cold boots, but the package is decoded once.
-            let pool = session_pool(std::sync::Arc::new(InstalledPackage::install(&pirated)?));
+            let pool = SessionPool::new(
+                std::sync::Arc::new(InstalledPackage::install(&pirated)?),
+                VmOptions::default(),
+            );
             let mut times = Vec::new();
             for run in 0..runs {
                 let seed = derive_seed(ctx.seed, run as u64);

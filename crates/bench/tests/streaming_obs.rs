@@ -33,7 +33,7 @@ fn drive_fleet(pool: &SessionPool, threads: usize, window: usize) -> String {
         let mut urng = ctx.rng();
         let env = DeviceEnv::sample(&mut urng);
         let mut vm = pool.session(env, ctx.seed);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         run_session(&mut vm, &mut source, &mut urng, 20, 30);
         vm.publish_obs();
         Ok::<_, std::convert::Infallible>(vm.telemetry().events_run)

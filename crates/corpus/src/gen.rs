@@ -608,7 +608,7 @@ mod tests {
         let dev = DeveloperKey::generate(&mut rng);
         let pkg = InstalledPackage::install(&app.apk(&dev))?;
         let mut vm = Vm::boot(pkg, DeviceEnv::sample(&mut rng), 5);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         let report = run_session(&mut vm, &mut source, &mut rng, 5, 60);
         assert!(report.events > 100);
         assert!(

@@ -35,6 +35,7 @@
 
 use crate::package::InstalledPackage;
 use crate::value::RtValue;
+use bombdroid_crypto::Key128;
 use bombdroid_dex::{
     BinOp, CondOp, HostApi, Instr, MethodRef, Reg, RegOrConst, StrOp, UnOp, Value,
 };
@@ -285,6 +286,8 @@ pub(crate) struct DecodedBody {
     pub ops: Vec<DecodedOp>,
     /// Minimum frame size: one past the highest slot any op touches.
     pub frame: usize,
+    /// Dispatches saved by fusion (the `vm.decode.fused` count).
+    pub fused: u64,
 }
 
 /// One method's slot in the decoded program; the body is decoded on first
@@ -311,9 +314,27 @@ struct FieldSlots {
     keys: Vec<Arc<str>>,
 }
 
+/// A decrypted fragment: the raw instructions (run by the legacy engine)
+/// plus their decoded form, lowered on first use.
+#[derive(Debug)]
+pub(crate) struct Fragment {
+    pub raw: Vec<Instr>,
+    decoded: OnceLock<Arc<DecodedBody>>,
+}
+
+impl Fragment {
+    /// The decoded form, lowered once with the resolved call targets of the
+    /// program whose cache holds this fragment.
+    pub fn decoded_body(&self, pkg: &InstalledPackage, prog: &DecodedProgram) -> &Arc<DecodedBody> {
+        self.decoded
+            .get_or_init(|| Arc::new(decode_body(pkg, prog, &self.raw)))
+    }
+}
+
 /// Per-package decoded program: a flat table of every method, indexed by
-/// `class_offsets[ci] + mi`, plus the field-key slot table, shared by all
-/// VMs (and forked sessions) booting the package.
+/// `class_offsets[ci] + mi`, plus the field-key slot table and the
+/// decrypted fragments, shared by all VMs (and forked sessions) booting
+/// the package.
 #[derive(Debug)]
 pub(crate) struct DecodedProgram {
     class_offsets: Vec<usize>,
@@ -322,6 +343,11 @@ pub(crate) struct DecodedProgram {
     /// resolve.
     entry_targets: Vec<Option<usize>>,
     fields: Mutex<FieldSlots>,
+    /// Fragments that opened successfully, by (blob id, derived key). A
+    /// program serves one `Arc<DexFile>`, whose blobs cannot change, so the
+    /// key fixes the plaintext. Only a right key opens a blob, which bounds
+    /// the cache by the program's blob count.
+    pub(crate) fragments: Mutex<HashMap<(u32, Key128), Arc<Fragment>>>,
 }
 
 impl DecodedProgram {
@@ -347,6 +373,7 @@ impl DecodedProgram {
             methods,
             entry_targets: Vec::new(),
             fields: Mutex::new(FieldSlots::default()),
+            fragments: Mutex::new(HashMap::new()),
         };
         prog.entry_targets = pkg
             .dex
@@ -383,6 +410,27 @@ impl DecodedProgram {
         slots.keys.clone()
     }
 
+    /// The fragment `blob` opened to under `key`, if a VM of this program
+    /// opened it before.
+    pub fn cached_fragment(&self, blob: u32, key: &Key128) -> Option<Arc<Fragment>> {
+        let cache = self.fragments.lock().unwrap_or_else(|e| e.into_inner());
+        cache.get(&(blob, *key)).cloned()
+    }
+
+    /// Caches the fragment `blob` opened to under `key` and returns the
+    /// cached entry. If another VM cached it first, that entry wins, so
+    /// each fragment is decoded once however many threads opened it.
+    pub fn cache_fragment(&self, blob: u32, key: Key128, raw: Vec<Instr>) -> Arc<Fragment> {
+        let mut cache = self.fragments.lock().unwrap_or_else(|e| e.into_inner());
+        let f = cache.entry((blob, key)).or_insert_with(|| {
+            Arc::new(Fragment {
+                raw,
+                decoded: OnceLock::new(),
+            })
+        });
+        Arc::clone(f)
+    }
+
     /// Number of methods in the flat table.
     pub fn method_count(&self) -> usize {
         self.methods.len()
@@ -413,6 +461,7 @@ impl DecodedProgram {
             if bombdroid_obs::enabled() {
                 bombdroid_obs::counter_add("vm.decode.methods", 1);
                 bombdroid_obs::counter_add("vm.decode.ops", body.ops.len() as u64);
+                bombdroid_obs::counter_add_nz("vm.decode.fused", body.fused);
             }
             Arc::new(body)
         })
@@ -526,10 +575,11 @@ pub(crate) fn decode_body(
         }
     }
 
-    if fused > 0 && bombdroid_obs::enabled() {
-        bombdroid_obs::counter_add("vm.decode.fused", fused);
+    DecodedBody {
+        ops,
+        frame: max,
+        fused,
     }
-    DecodedBody { ops, frame: max }
 }
 
 /// Lowers one `BinOp`/`BinOpConst` into an [`ArithChain`] step.

@@ -469,8 +469,19 @@ impl Vm {
                 }
                 DecodedOp::DecryptExec { blob, key_src } => {
                     let key_val = regs[*key_src].clone();
+                    let loaded = !self.blob_cache.contains_key(blob);
                     let fragment = self.fragment_for(BlobId(*blob), key_val)?;
                     let fbody = fragment.decoded_body(&self.pkg, prog);
+                    // The decode counters are charged to every VM that
+                    // loads the fragment, not to the session that lowered
+                    // it first: that one depends on scheduling and on what
+                    // ran earlier in the process, and session counters must
+                    // be a function of the session alone (fleet folds,
+                    // checkpoint/resume).
+                    if loaded && bombdroid_obs::enabled() {
+                        bombdroid_obs::counter_add("vm.decode.fragments", 1);
+                        bombdroid_obs::counter_add_nz("vm.decode.fused", fbody.fused);
+                    }
                     // Fragment pcs restart at zero; tag their coverage unit
                     // with the blob id so they never alias method edges.
                     let funit = 0x8000_0000 | *blob;
@@ -853,8 +864,7 @@ impl Vm {
                 Instr::DecryptExec { blob, key_src } => {
                     let key_val = self.reg(regs, *key_src);
                     let fragment = self.fragment_for(*blob, key_val)?;
-                    let raw = Arc::clone(&fragment.raw);
-                    if let Flow::Returned(v) = self.exec_body(mref, &raw, regs, depth)? {
+                    if let Flow::Returned(v) = self.exec_body(mref, &fragment.raw, regs, depth)? {
                         return Ok(Flow::Returned(v));
                     }
                 }

@@ -4,6 +4,7 @@
 //! processes" (paper §2.1, §4.1) — so detection payloads query *this*
 //! structure, not the APK the attacker ships.
 
+use crate::driver::UserEventTable;
 use bombdroid_apk::{ApkFile, VerifyError};
 use bombdroid_crypto::Digest256;
 use bombdroid_dex::{wire, DexFile, MethodRef};
@@ -30,6 +31,9 @@ pub struct InstalledPackage {
     /// first boot of a decoded-engine VM and shared by every session and
     /// fork of this package.
     decoded: OnceLock<Arc<crate::decode::DecodedProgram>>,
+    /// Entry weights and parameter favourites for user sessions, built on
+    /// first use and shared by every session and fork of this package.
+    user_events: OnceLock<Arc<UserEventTable>>,
     /// String resources (`strings.xml`), readable by the app.
     pub resources: BTreeMap<String, String>,
     /// Package name.
@@ -67,6 +71,7 @@ impl InstalledPackage {
             class_digests: OnceLock::new(),
             method_index: OnceLock::new(),
             decoded: OnceLock::new(),
+            user_events: OnceLock::new(),
             resources,
             package_name: apk.meta.package.clone(),
         })
@@ -121,6 +126,13 @@ impl InstalledPackage {
     pub(crate) fn decoded_program(&self) -> &Arc<crate::decode::DecodedProgram> {
         self.decoded
             .get_or_init(|| shared_decoded_program(&self.dex, self))
+    }
+
+    /// The package's user-event table (see [`crate::UserEventSource`]),
+    /// built on first use.
+    pub(crate) fn user_event_table(&self) -> &Arc<UserEventTable> {
+        self.user_events
+            .get_or_init(|| Arc::new(UserEventTable::build(&self.dex)))
     }
 }
 

@@ -14,11 +14,12 @@
 //! seed — which is what lets the fleet harness route every boot through a
 //! pool without changing a single observable byte.
 
+use crate::decode::Fragment;
 use crate::env::DeviceEnv;
 use crate::package::InstalledPackage;
 use crate::telemetry::Telemetry;
 use crate::value::RtValue;
-use crate::vm::{CovEdge, Fragment, OpMix, Vm, VmOptions};
+use crate::vm::{CovEdge, OpMix, Vm, VmOptions};
 use bombdroid_dex::Value;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -16,7 +16,7 @@
 //!
 //! [`DecodedOp`]: crate::decode::DecodedOp
 
-use crate::decode::{self, DecodedBody, DecodedProgram};
+use crate::decode::{DecodedProgram, Fragment};
 use crate::env::DeviceEnv;
 use crate::package::InstalledPackage;
 use crate::telemetry::{
@@ -28,7 +28,7 @@ use bombdroid_dex::{wire, BinOp, BlobId, CondOp, HostApi, Instr, MethodRef, Reg,
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// One observed control-flow edge on the decoded engine:
 /// `(coverage unit, from decoded pc, to decoded pc)`.
@@ -79,12 +79,6 @@ pub struct VmOptions {
     pub record_field_values: bool,
     /// Maximum call depth.
     pub max_call_depth: usize,
-    /// Share decrypted fragments across VMs in this process (fleet
-    /// simulations where many devices run the same protected app). Keyed by
-    /// (blob id, blob content fingerprint, derived key), so a hit proves the
-    /// same ciphertext was opened with the same key — per-VM cost charging
-    /// and [`Telemetry`] are identical with the cache on or off.
-    pub shared_fragment_cache: bool,
     /// Execution engine selection; only engine-identity tests pick
     /// [`VmEngine::Legacy`].
     pub engine: VmEngine,
@@ -105,48 +99,10 @@ impl Default for VmOptions {
             instr_per_ms: 2_000,
             record_field_values: false,
             max_call_depth: 64,
-            shared_fragment_cache: false,
             engine: VmEngine::Decoded,
             collect_coverage: false,
             hooks: AttackerHooks::default(),
         }
-    }
-}
-
-/// Process-wide decrypted-fragment cache (see
-/// [`VmOptions::shared_fragment_cache`]). The fingerprint covers salt and
-/// ciphertext, so a tampered blob or a differently-salted protection of the
-/// same app can never collide with a cached entry. The cache stores *raw*
-/// fragments: decoded forms hold package-specific resolved call targets, so
-/// they live in the per-VM [`Fragment`] wrapper (shared across forks of one
-/// snapshot, which by construction run the same package).
-type SharedFragmentKey = (u32, bombdroid_crypto::Digest256, bombdroid_crypto::Key128);
-
-fn shared_fragments() -> &'static Mutex<HashMap<SharedFragmentKey, Arc<Vec<Instr>>>> {
-    static CACHE: OnceLock<Mutex<HashMap<SharedFragmentKey, Arc<Vec<Instr>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// A decrypted fragment as cached by one VM: the raw instruction form (fed
-/// to the legacy engine and the process-wide cache) plus its lazily decoded
-/// form.
-#[derive(Debug)]
-pub(crate) struct Fragment {
-    pub raw: Arc<Vec<Instr>>,
-    decoded: OnceLock<Arc<DecodedBody>>,
-}
-
-impl Fragment {
-    /// The decoded form, lowered on first use with this package's resolved
-    /// call targets.
-    pub fn decoded_body(&self, pkg: &InstalledPackage, prog: &DecodedProgram) -> &Arc<DecodedBody> {
-        self.decoded.get_or_init(|| {
-            let body = decode::decode_body(pkg, prog, &self.raw);
-            if bombdroid_obs::enabled() {
-                bombdroid_obs::counter_add("vm.decode.fragments", 1);
-            }
-            Arc::new(body)
-        })
     }
 }
 
@@ -796,6 +752,13 @@ impl Vm {
     /// `blob`, charging exactly like the historical inline sequence: cache
     /// hits charge 2, misses charge `50 + sealed/16` before key derivation.
     /// Shared by both engines.
+    ///
+    /// A miss in this VM's cache still derives the key, then looks up
+    /// `(blob, key)` in the program's fragment cache. The program belongs
+    /// to one `Arc<DexFile>`, so the blob's salt and ciphertext are fixed
+    /// and a hit proves this very decryption already succeeded: only the
+    /// redundant open and decode are skipped. Failures are never cached,
+    /// so every device pays for and records its own.
     pub(crate) fn fragment_for(
         &mut self,
         blob: BlobId,
@@ -810,33 +773,19 @@ impl Vm {
         }
         self.op_mix.frag_cache_misses += 1;
         bombdroid_obs::flight::note("vm.frag_cache.miss", || format!("blob {}", blob.0));
-        let dex = self.pkg.dex.clone();
-        let b = dex.blob(blob).ok_or(Fault::TypeError("dangling blob"))?;
+        let pkg = Arc::clone(&self.pkg);
+        let b = pkg
+            .dex
+            .blob(blob)
+            .ok_or(Fault::TypeError("dangling blob"))?;
         self.charge(50 + b.sealed.len() as u64 / 16)?;
         let cb = key_val
             .canonical_bytes()
             .ok_or(Fault::TypeError("key source is a reference"))?;
         let key = kdf::derive_key(&cb, &b.salt);
-        // With the process-wide cache on, look up (id, fingerprint, key)
-        // before doing the real open: a hit proves an identical decryption
-        // already succeeded, so only the redundant crypto is skipped — the
-        // cost was charged above and the telemetry below records the
-        // decrypt either way.
-        let shared_key = self.opts.shared_fragment_cache.then(|| {
-            let mut fp = bombdroid_crypto::sha256::Sha256::new();
-            fp.update(&b.salt);
-            fp.update(&b.sealed);
-            (blob.0, fp.finalize(), key)
-        });
-        let shared_hit = shared_key.as_ref().and_then(|k| {
-            shared_fragments()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(k)
-                .cloned()
-        });
-        let raw = match shared_hit {
-            Some(raw) => raw,
+        let prog = pkg.decoded_program();
+        let f = match prog.cached_fragment(blob.0, &key) {
+            Some(f) => f,
             None => {
                 let plaintext = blob::open(&key, &b.sealed).map_err(|_| {
                     self.telemetry.decrypt_failures += 1;
@@ -851,20 +800,9 @@ impl Vm {
                     });
                     Fault::FragmentDecode
                 })?;
-                let raw = Arc::new(instrs);
-                if let Some(k) = shared_key {
-                    shared_fragments()
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(k, raw.clone());
-                }
-                raw
+                prog.cache_fragment(blob.0, key, instrs)
             }
         };
-        let f = Arc::new(Fragment {
-            raw,
-            decoded: OnceLock::new(),
-        });
         self.blob_cache.insert(blob.0, f.clone());
         self.telemetry.blobs_decrypted.insert(blob.0);
         Ok(f)
@@ -1182,6 +1120,102 @@ impl Vm {
                 }
                 Ok(RtValue::Null)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bombdroid_apk::{package_app, AppMeta, DeveloperKey, StringsXml};
+    use bombdroid_dex::{Class, DexFile, EncryptedBlob, EntryPoint, MethodBuilder, ParamDomain};
+
+    const SECRET: i64 = 0x5EC;
+
+    /// An app whose only handler decrypts and runs blob 0 with its
+    /// argument as the key source; `SECRET` opens it.
+    fn sealed_app() -> Arc<InstalledPackage> {
+        let salt = b"cache-test".to_vec();
+        let key = kdf::derive_key(&Value::Int(SECRET).canonical_bytes(), &salt);
+        let payload = [Instr::HostCall {
+            api: HostApi::Marker(1),
+            args: vec![],
+            dst: None,
+        }];
+        let sealed = blob::seal(&key, &wire::encode_fragment(&payload));
+        let mut dex = DexFile::new();
+        let id = dex.add_blob(EncryptedBlob { salt, sealed });
+        let mut class = Class::new("T");
+        let mut b = MethodBuilder::new("T", "open", 1);
+        b.decrypt_exec(id, Reg(0));
+        b.ret_void();
+        class.methods.push(b.finish());
+        dex.classes.push(class);
+        dex.entry_points.push(EntryPoint {
+            event: Arc::from("onOpen"),
+            method: MethodRef::new("T", "open"),
+            params: vec![ParamDomain::IntRange(0, SECRET)],
+            user_weight: 1.0,
+        });
+        let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(3));
+        let apk = package_app(&dex, StringsXml::new(), AppMeta::named("sealed"), &dev);
+        Arc::new(InstalledPackage::install(&apk).expect("signed install"))
+    }
+
+    fn boot(pkg: &Arc<InstalledPackage>, seed: u64) -> Vm {
+        let env = DeviceEnv::sample(&mut StdRng::seed_from_u64(seed));
+        Vm::boot(Arc::clone(pkg), env, seed)
+    }
+
+    #[test]
+    fn devices_share_the_programs_fragments() {
+        let pkg = sealed_app();
+        let (mut a, mut b) = (boot(&pkg, 1), boot(&pkg, 2));
+        for vm in [&mut a, &mut b] {
+            assert!(vm.fire_entry(0, vec![RtValue::Int(SECRET)]).completed());
+            // A second open hits the VM's own cache.
+            assert!(vm.fire_entry(0, vec![RtValue::Int(SECRET)]).completed());
+            assert_eq!(vm.op_mix.frag_cache_misses, 1);
+            assert_eq!(vm.op_mix.frag_cache_hits, 1);
+        }
+        assert_eq!(a.telemetry(), b.telemetry());
+        assert!(
+            Arc::ptr_eq(&a.blob_cache[&0], &b.blob_cache[&0]),
+            "the second device must reuse the first one's fragment"
+        );
+        assert_eq!(pkg.decoded_program().fragments.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn failed_opens_are_never_cached() {
+        let pkg = sealed_app();
+        for seed in 0..3 {
+            let mut vm = boot(&pkg, seed);
+            let out = vm.fire_entry(0, vec![RtValue::Int(SECRET + 1)]);
+            assert_eq!(out.result, Err(Fault::DecryptFailed));
+            assert_eq!(vm.telemetry().decrypt_failures, 1);
+            assert!(vm.blob_cache.is_empty());
+        }
+        assert!(pkg.decoded_program().fragments.lock().unwrap().is_empty());
+        // The right key still opens after the failures.
+        assert!(boot(&pkg, 9)
+            .fire_entry(0, vec![RtValue::Int(SECRET)])
+            .completed());
+    }
+
+    #[test]
+    fn fragment_loads_are_counted_per_device() {
+        let pkg = sealed_app();
+        let rec = Arc::new(bombdroid_obs::Recorder::new());
+        bombdroid_obs::with_recorder(Arc::clone(&rec), || {
+            for seed in 0..3 {
+                boot(&pkg, seed).fire_entry(0, vec![RtValue::Int(SECRET)]);
+            }
+        });
+        if bombdroid_obs::enabled() {
+            // Three devices each load the fragment once, although the
+            // program lowered it once: the count follows the sessions.
+            assert_eq!(rec.counter_value("vm.decode.fragments"), 3);
         }
     }
 }

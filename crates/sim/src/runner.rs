@@ -73,7 +73,7 @@ impl SessionRunner for VmRunner {
         let mut urng = ctx.rng();
         let env = user.device.materialize();
         let mut vm = self.pool.session(env, ctx.seed);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         let minutes = match self.cap_minutes {
             Some(cap) => user.session_minutes.min(cap),
             None => user.session_minutes,

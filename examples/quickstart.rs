@@ -54,7 +54,7 @@ fn main() {
     //    later a bomb's two triggers line up...
     let pkg = InstalledPackage::install(&pirated).expect("system verifies the pirate's signature");
     let mut vm = Vm::boot(pkg, DeviceEnv::sample(&mut rng), 7);
-    let mut user = UserEventSource;
+    let mut user = UserEventSource::new(&vm.pkg);
     let session = run_session(&mut vm, &mut user, &mut rng, 60, 40);
     let t = vm.telemetry();
     println!(
@@ -77,7 +77,8 @@ fn main() {
     //    misbehaves: zero false positives.
     let legit = InstalledPackage::install(&signed).expect("install");
     let mut vm = Vm::boot(legit, DeviceEnv::sample(&mut rng), 8);
-    run_session(&mut vm, &mut UserEventSource, &mut rng, 30, 40);
+    let mut user = UserEventSource::new(&vm.pkg);
+    run_session(&mut vm, &mut user, &mut rng, 30, 40);
     assert!(vm.telemetry().responses.is_empty());
     assert_eq!(vm.telemetry().piracy_reports, 0);
     println!("legitimate copy: 30 min of play, zero responses (no false positives)");

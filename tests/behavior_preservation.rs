@@ -186,7 +186,7 @@ fn user_event_streams_are_also_preserved() {
             let mut rng = StdRng::seed_from_u64(session_seed);
             let env = DeviceEnv::sample(&mut rng);
             let mut vm = Vm::boot(pkg, env, session_seed);
-            let mut source = UserEventSource;
+            let mut source = UserEventSource::new(&vm.pkg);
             run_session(&mut vm, &mut source, &mut rng, 30, 60);
             (vm.telemetry().logs.clone(), vm.statics_snapshot())
         };

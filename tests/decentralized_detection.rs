@@ -31,7 +31,7 @@ fn run_device(pkg: &InstalledPackage, seed: u64, minutes: u64) -> (bool, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let env = DeviceEnv::sample(&mut rng);
     let mut vm = Vm::boot(pkg.clone(), env, seed ^ 0xF1EE7);
-    let mut source = UserEventSource;
+    let mut source = UserEventSource::new(&vm.pkg);
     run_session(&mut vm, &mut source, &mut rng, minutes, 40);
     (
         vm.telemetry().detection_fired(),
@@ -75,7 +75,7 @@ fn different_devices_trigger_different_bombs() {
         let mut rng = StdRng::seed_from_u64(900 + d);
         let env = DeviceEnv::sample(&mut rng);
         let mut vm = Vm::boot(fleet.pirated.clone(), env, d);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         run_session(&mut vm, &mut source, &mut rng, 45, 40);
         marker_sets.push(vm.telemetry().markers.clone());
     }

@@ -29,7 +29,7 @@ fn protected_app_preserves_behaviour_on_legit_installs() {
             let mut rng = StdRng::seed_from_u64(session_seed);
             let env = DeviceEnv::sample(&mut rng);
             let mut vm = Vm::boot(pkg, env, session_seed ^ 0xE2E);
-            let mut source = UserEventSource;
+            let mut source = UserEventSource::new(&vm.pkg);
             run_session(&mut vm, &mut source, &mut rng, 10, 60);
             (
                 vm.telemetry().logs.clone(),
@@ -72,7 +72,7 @@ fn repackaged_app_is_detected_by_users() {
         let mut urng = StdRng::seed_from_u64(1000 + u);
         let env = DeviceEnv::sample(&mut urng);
         let mut vm = Vm::boot(pkg.clone(), env, 77 + u);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         run_session(&mut vm, &mut source, &mut urng, 60, 40);
         if vm.telemetry().detection_fired() {
             detections += 1;
@@ -105,7 +105,7 @@ fn tampered_digest_detection_fires_even_with_matching_key() {
         let mut urng = StdRng::seed_from_u64(2000 + u);
         let env = DeviceEnv::sample(&mut urng);
         let mut vm = Vm::boot(pkg.clone(), env, 88 + u);
-        let mut source = UserEventSource;
+        let mut source = UserEventSource::new(&vm.pkg);
         run_session(&mut vm, &mut source, &mut urng, 60, 40);
         if vm.telemetry().detection_fired() {
             detections += 1;
@@ -152,7 +152,7 @@ fn strategic_muting_silences_later_bombs() {
             let mut urng = StdRng::seed_from_u64(3000 + u);
             let env = DeviceEnv::sample(&mut urng);
             let mut vm = Vm::boot(pkg.clone(), env, 99 + u);
-            let mut source = UserEventSource;
+            let mut source = UserEventSource::new(&vm.pkg);
             run_session(&mut vm, &mut source, &mut urng, 45, 40);
             markers += vm.telemetry().bombs_triggered();
             observable += vm.telemetry().responses.len() + vm.telemetry().piracy_reports as usize;

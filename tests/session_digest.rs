@@ -101,9 +101,10 @@ fn pirated_sessions_match_pinned_digest() {
             let mut rng = StdRng::seed_from_u64(seed);
             let user = UserProfile::sample(&mut rng);
             let mut vm = pool.session(user.device.materialize(), seed);
+            let mut source = UserEventSource::new(&vm.pkg);
             run_session(
                 &mut vm,
-                &mut UserEventSource,
+                &mut source,
                 &mut rng,
                 u64::from(user.session_minutes.min(CAP_MINUTES)),
                 u64::from(user.events_per_minute),
