@@ -15,10 +15,11 @@ use crate::profiling::profile_app;
 use crate::report::{BombInfo, BombKind, ProtectReport};
 use crate::rewrite::rewrite_region;
 use crate::sites;
-use bombdroid_apk::{ApkFile, VerifyError};
+use bombdroid_apk::ApkFile;
 use bombdroid_dex::{wire, BlobId, HostApi};
 use rand::{rngs::StdRng, Rng};
 
+use crate::pipeline::ProtectError;
 pub use crate::pipeline::ProtectedApp;
 
 /// Protector that injects plaintext bombs at existing QC sites.
@@ -38,8 +39,9 @@ impl NaiveProtector {
     ///
     /// # Errors
     ///
-    /// Returns the install-verification error for an unsigned input.
-    pub fn protect(&self, apk: &ApkFile, rng: &mut StdRng) -> Result<ProtectedApp, VerifyError> {
+    /// Returns the profiling error: an unsigned input, or one whose entry
+    /// points declare unusable parameter domains.
+    pub fn protect(&self, apk: &ApkFile, rng: &mut StdRng) -> Result<ProtectedApp, ProtectError> {
         let profile = profile_app(apk, &self.config, rng.gen())?;
         let mut dex = (*apk.dex).clone();
         let plan = sites::plan(&apk.dex, &profile, &self.config, rng);

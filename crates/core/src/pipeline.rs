@@ -29,6 +29,10 @@ pub enum ProtectError {
     /// Instrumentation produced structurally invalid bytecode (a bug — the
     /// validator is our safety net).
     Validate(Vec<bombdroid_dex::ValidateError>),
+    /// The input app declares an entry-point parameter no event can be
+    /// drawn from, or one too long to draw (checked before profiling runs
+    /// the app).
+    EntryDomains(Vec<bombdroid_dex::ValidateError>),
 }
 
 impl fmt::Display for ProtectError {
@@ -41,6 +45,13 @@ impl fmt::Display for ProtectError {
                     "instrumented DEX failed validation ({} errors)",
                     errs.len()
                 )
+            }
+            ProtectError::EntryDomains(errs) => {
+                write!(f, "input app has {} unusable parameter domains", errs.len())?;
+                match errs.first() {
+                    Some(e) => write!(f, ", first: {e}"),
+                    None => Ok(()),
+                }
             }
         }
     }
@@ -250,6 +261,8 @@ impl Protector {
     ///
     /// * [`ProtectError::Install`] if the input APK's signature does not
     ///   verify;
+    /// * [`ProtectError::EntryDomains`] if an entry point declares a
+    ///   parameter domain no event can be drawn from;
     /// * [`ProtectError::Validate`] if instrumentation produced invalid
     ///   bytecode (internal invariant).
     pub fn protect(&self, apk: &ApkFile, rng: &mut StdRng) -> Result<ProtectedApp, ProtectError> {

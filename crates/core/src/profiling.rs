@@ -3,6 +3,7 @@
 //! Traceview role) and field-value samples, and derive the hot-method set.
 
 use crate::config::ProtectConfig;
+use crate::pipeline::ProtectError;
 use bombdroid_apk::ApkFile;
 use bombdroid_dex::MethodRef;
 use bombdroid_runtime::telemetry::{hot_methods, FieldValues, MethodCalls};
@@ -29,15 +30,19 @@ pub struct ProfileResult {
 ///
 /// # Errors
 ///
-/// Returns the install-time verification error if the APK is not validly
-/// signed.
+/// * [`ProtectError::Install`] if the APK is not validly signed;
+/// * [`ProtectError::EntryDomains`] if an entry point declares a parameter
+///   domain no event can be drawn from (an empty range or choice, or a
+///   text longer than [`bombdroid_dex::MAX_TEXT_PARAM_LEN`]). The app is
+///   never run in that case.
 pub fn profile_app(
     apk: &ApkFile,
     config: &ProtectConfig,
     seed: u64,
-) -> Result<ProfileResult, bombdroid_apk::VerifyError> {
+) -> Result<ProfileResult, ProtectError> {
     let _span = bombdroid_obs::span("pipeline.profile");
     let pkg = InstalledPackage::install(apk)?;
+    bombdroid_dex::validate_entry_domains(&pkg.dex).map_err(ProtectError::EntryDomains)?;
     let opts = VmOptions {
         record_field_values: true,
         ..VmOptions::default()

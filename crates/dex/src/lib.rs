@@ -24,7 +24,7 @@
 //! * [`asm`] — a textual disassembler, which is what the *text search*
 //!   attack greps through;
 //! * [`validate`] — structural validation (register bounds, branch targets,
-//!   blob references).
+//!   blob references, entry-point parameter domains).
 //!
 //! # Example: building a method with a qualified condition
 //!
@@ -61,5 +61,5 @@ pub use dex_file::{BlobId, DexFile, EncryptedBlob, EntryPoint, ParamDomain};
 pub use instr::{
     BinOp, CondOp, EnvKey, HostApi, Instr, Reg, RegOrConst, SensorKind, StrOp, UiKind, UnOp,
 };
-pub use validate::{validate, ValidateError};
+pub use validate::{validate, validate_entry_domains, ValidateError, MAX_TEXT_PARAM_LEN};
 pub use value::{ClassName, FieldRef, MethodRef, Value};

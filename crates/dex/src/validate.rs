@@ -5,7 +5,7 @@
 //! overflow, dangling blob references) instead of at interpretation time.
 
 use crate::class::Method;
-use crate::dex_file::DexFile;
+use crate::dex_file::{DexFile, ParamDomain};
 use crate::instr::Instr;
 use crate::value::MethodRef;
 use std::collections::HashSet;
@@ -67,7 +67,41 @@ pub enum ValidateError {
         /// Parameters expected by the method.
         expected: u16,
     },
+    /// An `IntRange` parameter whose bounds are reversed: no value lies in
+    /// it, so no event can be drawn.
+    EmptyIntRange {
+        /// The entry point's event name.
+        event: String,
+        /// Index of the parameter.
+        param: usize,
+        /// Declared lower bound.
+        lo: i64,
+        /// Declared upper bound, below `lo`.
+        hi: i64,
+    },
+    /// A `Choice` parameter with no values to choose from.
+    EmptyChoice {
+        /// The entry point's event name.
+        event: String,
+        /// Index of the parameter.
+        param: usize,
+    },
+    /// A `Text` parameter longer than [`MAX_TEXT_PARAM_LEN`]: drawing one
+    /// would build a string of that many characters.
+    TextTooLong {
+        /// The entry point's event name.
+        event: String,
+        /// Index of the parameter.
+        param: usize,
+        /// Declared maximum length.
+        max_len: u32,
+    },
 }
+
+/// Longest `Text` parameter an entry point may declare. The corpus
+/// declares 12; the cap only stops a length field read from an uploaded
+/// app from sizing every drawn argument.
+pub const MAX_TEXT_PARAM_LEN: u32 = 4096;
 
 impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -101,6 +135,23 @@ impl fmt::Display for ValidateError {
             } => write!(
                 f,
                 "entry point for {method} declares {declared} params, method expects {expected}"
+            ),
+            ValidateError::EmptyIntRange {
+                event,
+                param,
+                lo,
+                hi,
+            } => write!(f, "{event} param {param}: empty range {lo}..={hi}"),
+            ValidateError::EmptyChoice { event, param } => {
+                write!(f, "{event} param {param}: choice of no values")
+            }
+            ValidateError::TextTooLong {
+                event,
+                param,
+                max_len,
+            } => write!(
+                f,
+                "{event} param {param}: text length {max_len} exceeds {MAX_TEXT_PARAM_LEN}"
             ),
         }
     }
@@ -153,6 +204,57 @@ fn validate_method(m: &Method, blob_count: usize, errors: &mut Vec<ValidateError
     }
 }
 
+fn check_entry_domains(dex: &DexFile, errors: &mut Vec<ValidateError>) {
+    for e in &dex.entry_points {
+        for (param, domain) in e.params.iter().enumerate() {
+            let event = || e.event.to_string();
+            match *domain {
+                ParamDomain::IntRange(lo, hi) if lo > hi => {
+                    errors.push(ValidateError::EmptyIntRange {
+                        event: event(),
+                        param,
+                        lo,
+                        hi,
+                    })
+                }
+                ParamDomain::Choice(ref vs) if vs.is_empty() => {
+                    errors.push(ValidateError::EmptyChoice {
+                        event: event(),
+                        param,
+                    })
+                }
+                ParamDomain::Text { max_len } if max_len > MAX_TEXT_PARAM_LEN => {
+                    errors.push(ValidateError::TextTooLong {
+                        event: event(),
+                        param,
+                        max_len,
+                    })
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Checks that an event can be drawn for every entry point: each
+/// parameter domain is nonempty and each `Text` length is at most
+/// [`MAX_TEXT_PARAM_LEN`]. [`validate`] runs these checks too; this entry
+/// point runs only them, for code about to drive an app it has not
+/// validated.
+///
+/// # Errors
+///
+/// Returns every domain that fails.
+pub fn validate_entry_domains(dex: &DexFile) -> Result<(), Vec<ValidateError>> {
+    let mut errors = Vec::new();
+    check_entry_domains(dex, &mut errors);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
 /// Validates a DEX file, returning every problem found.
 ///
 /// # Errors
@@ -172,6 +274,7 @@ pub fn validate(dex: &DexFile) -> Result<(), Vec<ValidateError>> {
             validate_method(m, dex.blobs.len(), &mut errors);
         }
     }
+    check_entry_domains(dex, &mut errors);
     for e in &dex.entry_points {
         match dex.method(&e.method) {
             None => errors.push(ValidateError::MissingEntryMethod {
@@ -202,6 +305,7 @@ mod tests {
     use crate::class::Class;
     use crate::dex_file::{BlobId, EntryPoint, ParamDomain};
     use crate::instr::Reg;
+    use crate::value::Value;
     use std::sync::Arc;
 
     fn ok_dex() -> DexFile {
@@ -297,6 +401,43 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ValidateError::EntryArityMismatch { .. })));
+    }
+
+    #[test]
+    fn catches_unsampleable_domains() {
+        let mut dex = ok_dex();
+        dex.entry_points[0].params = vec![
+            ParamDomain::IntRange(5, 4),
+            ParamDomain::Choice(vec![]),
+            ParamDomain::Text {
+                max_len: MAX_TEXT_PARAM_LEN + 1,
+            },
+        ];
+        let errs = validate_entry_domains(&dex).unwrap_err();
+        assert!(matches!(
+            errs[..],
+            [
+                ValidateError::EmptyIntRange {
+                    param: 0,
+                    lo: 5,
+                    hi: 4,
+                    ..
+                },
+                ValidateError::EmptyChoice { param: 1, .. },
+                ValidateError::TextTooLong { param: 2, .. },
+            ]
+        ));
+        // Full validation reports them as well (plus the arity mismatch).
+        assert_eq!(validate(&dex).unwrap_err().len(), 4);
+        // Boundaries are accepted.
+        dex.entry_points[0].params = vec![
+            ParamDomain::IntRange(4, 4),
+            ParamDomain::Choice(vec![Value::Int(1)]),
+            ParamDomain::Text {
+                max_len: MAX_TEXT_PARAM_LEN,
+            },
+        ];
+        assert!(validate_entry_domains(&dex).is_ok());
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! fragments declare counts near `u32::MAX` over a few bytes of input, and
 //! decoding them must fail cleanly instead of aborting the process. An
 //! uploaded app's code is such an input too: profiling it may not allocate
-//! without bound.
+//! without bound, and an entry point must declare parameters an event
+//! can be drawn from before profiling runs it.
 
-use bombdroid::core::{profile_app, ProtectConfig};
+use bombdroid::core::{profile_app, ProtectConfig, ProtectError};
 use bombdroid::dex::{
-    wire, Class, DexFile, EntryPoint, Instr, MethodBuilder, MethodRef, StrOp, Value,
+    wire, Class, DexFile, EntryPoint, Instr, MethodBuilder, MethodRef, ParamDomain, StrOp,
+    ValidateError, Value,
 };
 use bombdroid::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -36,16 +38,26 @@ fn oversized_counts_in_fragments_are_errors() {
 /// A one-method app whose only event handler runs `body` on a fresh
 /// register.
 fn hostile_app(name: &str, body: impl FnOnce(&mut MethodBuilder)) -> ApkFile {
+    app_with_params(name, vec![], body)
+}
+
+/// A one-method app whose only event handler takes parameters drawn from
+/// `params` and runs `body`.
+fn app_with_params(
+    name: &str,
+    params: Vec<ParamDomain>,
+    body: impl FnOnce(&mut MethodBuilder),
+) -> ApkFile {
     let mut dex = DexFile::new();
     let mut class = Class::new("H");
-    let mut b = MethodBuilder::new("H", "onEvent", 0);
+    let mut b = MethodBuilder::new("H", "onEvent", params.len() as u16);
     body(&mut b);
     class.methods.push(b.finish());
     dex.classes.push(class);
     dex.entry_points.push(EntryPoint {
         event: Arc::from("onEvent"),
         method: MethodRef::new("H", "onEvent"),
-        params: vec![],
+        params,
         user_weight: 1.0,
     });
     let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(0x4EA9));
@@ -81,5 +93,47 @@ fn runaway_allocation_in_an_uploaded_app_is_a_fault() {
         let profile = profile_app(&apk, &config, 7).expect("profiling returns");
         assert_eq!(profile.telemetry.events_run, config.profiling_events);
         assert_eq!(profile.method_calls[&MethodRef::new("H", "onEvent")], 200);
+    }
+}
+
+#[test]
+fn unsampleable_parameter_domains_are_rejected_before_profiling() {
+    // A reversed range and an empty choice make the event generator panic
+    // ("cannot sample empty range"); a 4 GiB text bound makes it build
+    // strings of up to 4 GiB. None of them may reach the VM.
+    let domains = [
+        ParamDomain::IntRange(10, -10),
+        ParamDomain::Choice(vec![]),
+        ParamDomain::Text { max_len: u32::MAX },
+    ];
+    let config = ProtectConfig {
+        profiling_events: 200,
+        ..ProtectConfig::default()
+    };
+    for domain in domains {
+        let apk = app_with_params("domains", vec![domain.clone()], |b| {
+            b.ret_void();
+        });
+        let err = match profile_app(&apk, &config, 7) {
+            Err(ProtectError::EntryDomains(errs)) => errs,
+            other => panic!("{domain:?}: expected a domain error, got {other:?}"),
+        };
+        assert!(
+            matches!(
+                err[..],
+                [ValidateError::EmptyIntRange { .. }
+                    | ValidateError::EmptyChoice { .. }
+                    | ValidateError::TextTooLong { .. }]
+            ),
+            "{domain:?}: {err:?}"
+        );
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(
+            matches!(
+                Protector::new(config.clone()).protect(&apk, &mut rng),
+                Err(ProtectError::EntryDomains(_))
+            ),
+            "{domain:?}: protect must refuse the app too"
+        );
     }
 }
