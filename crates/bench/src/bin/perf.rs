@@ -19,6 +19,7 @@
 //! See EXPERIMENTS.md § "Perf
 //! harness" for the schema and how to compare runs across PRs.
 
+use bombdroid_apk::repackage;
 use bombdroid_bench::perf::{
     compare_bench_json, run_bench, to_json, validate_bench_json, BenchResult, PerfConfig,
 };
@@ -27,11 +28,13 @@ use bombdroid_bench::{
     fixed_keys,
 };
 use bombdroid_core::{profile_app, FleetConfig, ProtectConfig};
+use bombdroid_corpus::{flagship, UserProfile};
 use bombdroid_crypto::{aes, blob, kdf, sha1, sha256};
 use bombdroid_dex::{wire, Value};
 use bombdroid_obs::{self as obs, ObsMode, Recorder, ShardAggregator};
 use bombdroid_runtime::{
-    DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Vm, VmOptions,
+    run_session, DeviceEnv, EventSource, InstalledPackage, RandomEventSource, SessionPool,
+    UserEventSource, Vm, VmOptions,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -525,6 +528,37 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
             }));
         }
         obs::set_mode(prior);
+    }
+
+    // --- runtime: market user sessions (the market_day kernel) ---
+    if wanted("vm/user_session") {
+        // 16 user sessions of the pirated Hash Droid per iteration, each
+        // forked from one pristine pool and driven by UserEventSource: what
+        // every device of a market day or a population sweep runs. The
+        // users are fixed, so every iteration does the same work.
+        let (_, signed) = protect_app(&flagship::hash_droid(), ProtectConfig::default(), 0xBE);
+        let (_, pirate) = fixed_keys();
+        let pirated = repackage(&signed, &pirate, |_| {});
+        let pkg = InstalledPackage::install(&pirated).expect("pirated install");
+        let pool = SessionPool::new(Arc::new(pkg), VmOptions::default());
+        let users: Vec<UserProfile> = (0..16)
+            .map(|i| UserProfile::sample(&mut StdRng::seed_from_u64(0x05E5 + i)))
+            .collect();
+        push(run_bench("vm/user_session", None, config, || {
+            for (i, user) in users.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(i as u64);
+                let mut vm = pool.session(user.device.materialize(), i as u64);
+                let mut source = UserEventSource::new(&vm.pkg);
+                run_session(
+                    &mut vm,
+                    &mut source,
+                    &mut rng,
+                    u64::from(user.session_minutes),
+                    u64::from(user.events_per_minute),
+                );
+                std::hint::black_box(vm.telemetry().instr_executed);
+            }
+        }));
     }
 
     // --- sim: the population-scale market day loop ---
