@@ -42,7 +42,7 @@ pub mod slice;
 
 pub use cfg::{BasicBlock, Cfg};
 pub use dom::Dominators;
-pub use entropy::{distinct_values, rank_fields, FieldEntropy};
+pub use entropy::{rank_fields, FieldTally};
 pub use loops::LoopInfo;
 pub use qc::{scan_dex, scan_method, QcCompare, QcSite, Strength};
 pub use slice::{backward_slice, Slice};
