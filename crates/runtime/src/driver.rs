@@ -91,10 +91,22 @@ pub fn uniform_arg(domain: &ParamDomain, rng: &mut StdRng) -> RtValue {
         ParamDomain::Choice(vs) => vs[rng.gen_range(0..vs.len())].clone().into(),
         ParamDomain::Text { max_len } => {
             let len = rng.gen_range(0..=*max_len as usize);
-            let s: String = (0..len)
-                .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
-                .collect();
-            RtValue::Str(Arc::from(s))
+            // A short text is drawn on the stack, so the string's own
+            // allocation is its only one.
+            let mut short = [0u8; 32];
+            let mut long = Vec::new();
+            let letters = if len <= short.len() {
+                &mut short[..len]
+            } else {
+                long.resize(len, 0);
+                &mut long[..]
+            };
+            for b in letters.iter_mut() {
+                *b = rng.gen_range(b'a'..=b'z');
+            }
+            RtValue::Str(Arc::from(
+                std::str::from_utf8(letters).expect("ASCII letters"),
+            ))
         }
     }
 }

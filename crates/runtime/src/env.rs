@@ -11,6 +11,7 @@
 use bombdroid_dex::{EnvKey, SensorKind};
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A concrete device/user environment.
 ///
@@ -19,7 +20,7 @@ use std::collections::BTreeMap;
 /// [`DeviceEnv::sensor_sample`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceEnv {
-    strings: BTreeMap<EnvKey, String>,
+    strings: BTreeMap<EnvKey, Arc<str>>,
     ints: BTreeMap<EnvKey, i64>,
     sensors: BTreeMap<SensorKind, i64>,
     /// Minute-of-day at which the app process starts on this device.
@@ -313,31 +314,31 @@ impl DeviceProfile {
     /// Expands the profile into a full [`DeviceEnv`] — the O(session)
     /// representation, built on demand and dropped with the session.
     pub fn materialize(&self) -> DeviceEnv {
-        let manufacturer = MANUFACTURERS.value(self.manufacturer as usize).to_string();
+        let manufacturer: Arc<str> = Arc::from(MANUFACTURERS.value(self.manufacturer as usize));
         let sdk = self.sdk as i64;
         let mut strings = BTreeMap::new();
         let mut ints = BTreeMap::new();
-        strings.insert(EnvKey::Manufacturer, manufacturer.clone());
+        strings.insert(EnvKey::Manufacturer, Arc::clone(&manufacturer));
         strings.insert(
             EnvKey::Board,
-            format!("{}-board-{}", manufacturer, self.board),
+            Arc::from(format!("{}-board-{}", manufacturer, self.board)),
         );
         strings.insert(
             EnvKey::BootloaderVersion,
-            format!("blv{}.{}", self.blv_major, self.blv_minor),
+            Arc::from(format!("blv{}.{}", self.blv_major, self.blv_minor)),
         );
         strings.insert(EnvKey::Brand, manufacturer);
         strings.insert(
             EnvKey::CpuAbi,
-            CPU_ABIS.value(self.cpu_abi as usize).to_string(),
+            Arc::from(CPU_ABIS.value(self.cpu_abi as usize)),
         );
         strings.insert(
             EnvKey::CountryCode,
-            COUNTRIES.value(self.country as usize).to_string(),
+            Arc::from(COUNTRIES.value(self.country as usize)),
         );
         strings.insert(
             EnvKey::LanguageCode,
-            LANGUAGES.value(self.language as usize).to_string(),
+            Arc::from(LANGUAGES.value(self.language as usize)),
         );
         ints.insert(EnvKey::DisplayDensityDpi, self.density_dpi as i64);
         ints.insert(EnvKey::MacAddrHash, self.mac_hash as i64);
@@ -385,16 +386,16 @@ impl DeviceEnv {
             .map(|i| {
                 let mut strings = BTreeMap::new();
                 let mut ints = BTreeMap::new();
-                strings.insert(EnvKey::Manufacturer, "google".to_string());
-                strings.insert(EnvKey::Board, "goldfish".to_string());
-                strings.insert(EnvKey::BootloaderVersion, "unknown".to_string());
-                strings.insert(EnvKey::Brand, "generic".to_string());
+                strings.insert(EnvKey::Manufacturer, Arc::from("google"));
+                strings.insert(EnvKey::Board, Arc::from("goldfish"));
+                strings.insert(EnvKey::BootloaderVersion, Arc::from("unknown"));
+                strings.insert(EnvKey::Brand, Arc::from("generic"));
                 strings.insert(
                     EnvKey::CpuAbi,
-                    if i % 2 == 0 { "x86_64" } else { "arm64-v8a" }.to_string(),
+                    Arc::from(if i % 2 == 0 { "x86_64" } else { "arm64-v8a" }),
                 );
-                strings.insert(EnvKey::CountryCode, "US".to_string());
-                strings.insert(EnvKey::LanguageCode, "en".to_string());
+                strings.insert(EnvKey::CountryCode, Arc::from("US"));
+                strings.insert(EnvKey::LanguageCode, Arc::from("en"));
                 ints.insert(EnvKey::DisplayDensityDpi, 320 + 160 * (i as i64 % 2));
                 ints.insert(EnvKey::MacAddrHash, 0x5E5E5E);
                 ints.insert(EnvKey::SerialHash, 0x100000 + i as i64);
@@ -432,9 +433,10 @@ impl DeviceEnv {
         }
     }
 
-    /// The value of a string-valued property, by reference.
-    pub(crate) fn query_str(&self, key: EnvKey) -> Option<&str> {
-        self.strings.get(&key).map(String::as_str)
+    /// The value of a string-valued property, shared: the VM hands it to
+    /// the app without copying it.
+    pub(crate) fn query_str(&self, key: EnvKey) -> Option<&Arc<str>> {
+        self.strings.get(&key)
     }
 
     /// The value of a property that is not string-valued (`0` if absent).
@@ -471,7 +473,7 @@ impl DeviceEnv {
 
     /// Overrides one string property.
     pub fn set_str(&mut self, key: EnvKey, value: impl Into<String>) {
-        self.strings.insert(key, value.into());
+        self.strings.insert(key, Arc::from(value.into()));
     }
 
     /// Overrides a sensor's base value.
