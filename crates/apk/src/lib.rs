@@ -46,7 +46,9 @@ pub mod resources;
 pub mod rsa;
 pub mod stego;
 
-pub use container::{package_app, repackage, ApkFile, AppMeta, Certificate, VerifyError};
+pub use container::{
+    package_app, package_shared, repackage, ApkFile, AppMeta, Certificate, VerifyError,
+};
 pub use manifest::Manifest;
 pub use resources::StringsXml;
 pub use rsa::{DeveloperKey, PublicKey};

@@ -18,6 +18,7 @@ use crate::sites;
 use bombdroid_apk::ApkFile;
 use bombdroid_dex::{wire, BlobId, HostApi};
 use rand::{rngs::StdRng, Rng};
+use std::sync::Arc;
 
 use crate::pipeline::ProtectError;
 pub use crate::pipeline::ProtectedApp;
@@ -105,7 +106,7 @@ impl NaiveProtector {
 
         report.protected_dex_size = wire::encoded_dex_len(&dex);
         Ok(ProtectedApp {
-            dex,
+            dex: Arc::new(dex),
             strings: apk.strings.clone(),
             meta: apk.meta.clone(),
             report,

@@ -14,12 +14,15 @@ use crate::report::{BombInfo, BombKind, ProtectReport};
 use crate::sites::{self, PlannedArtificial, PlannedExisting};
 use bombdroid_analysis::Strength;
 use bombdroid_apk::container::entry;
-use bombdroid_apk::{package_app, stego, ApkFile, AppMeta, DeveloperKey, StringsXml, VerifyError};
+use bombdroid_apk::{
+    package_shared, stego, ApkFile, AppMeta, DeveloperKey, StringsXml, VerifyError,
+};
 use bombdroid_dex::{wire, DexFile, EncryptedBlob, Instr, Method, MethodRef, Value};
 use bombdroid_obs as obs;
 use rand::{rngs::StdRng, Rng};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Why protection failed.
 #[derive(Debug)]
@@ -70,8 +73,8 @@ impl From<VerifyError> for ProtectError {
 /// disclosed to BombDroid", §2.3).
 #[derive(Debug, Clone)]
 pub struct ProtectedApp {
-    /// Instrumented bytecode.
-    pub dex: DexFile,
+    /// Instrumented bytecode, shared with every package signed from it.
+    pub dex: Arc<DexFile>,
     /// Resources including steganographic digest covers.
     pub strings: StringsXml,
     /// Unchanged app metadata.
@@ -81,9 +84,15 @@ pub struct ProtectedApp {
 }
 
 impl ProtectedApp {
-    /// Signs and packages the protected app with the developer's key.
+    /// Signs and packages the protected app with the developer's key. The
+    /// package shares this app's dex rather than copying it.
     pub fn package(&self, key: &DeveloperKey) -> ApkFile {
-        package_app(&self.dex, self.strings.clone(), self.meta.clone(), key)
+        package_shared(
+            Arc::clone(&self.dex),
+            self.strings.clone(),
+            self.meta.clone(),
+            key,
+        )
     }
 }
 
@@ -437,7 +446,7 @@ impl Protector {
         );
 
         Ok(ProtectedApp {
-            dex,
+            dex: Arc::new(dex),
             strings,
             meta: apk.meta.clone(),
             report,
