@@ -87,12 +87,19 @@ impl Sha1 {
     /// Finishes the computation and returns the 160-bit digest.
     pub fn finalize(mut self) -> Digest160 {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding — 0x80, zeros, then the bit length in the last 8 bytes —
+        // is written straight into the final block: a second block only
+        // when fewer than 9 bytes are left for it.
+        let n = self.buf_len;
+        let mut block = self.buf;
+        block[n] = 0x80;
+        block[n + 1..].fill(0);
+        if n >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -210,6 +217,33 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), digest(&data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn padding_matches_bytewise_padding_at_every_length() {
+        // The padding as FIPS 180-4 §5.1.1 states it, fed one byte at a
+        // time through `update`: every tail length of the last block, on
+        // both sides of the 56-byte boundary, must agree.
+        fn bytewise(data: &[u8]) -> Digest160 {
+            let mut h = Sha1::new();
+            h.update(data);
+            let bit_len = h.len.wrapping_mul(8);
+            h.update(&[0x80]);
+            while h.buf_len != 56 {
+                h.update(&[0]);
+            }
+            h.update(&bit_len.to_be_bytes());
+            assert_eq!(h.buf_len, 0);
+            let mut out = [0u8; 20];
+            for (i, word) in h.state.iter().enumerate() {
+                out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            out
+        }
+        let data: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in 0..=data.len() {
+            assert_eq!(digest(&data[..len]), bytewise(&data[..len]), "length {len}");
         }
     }
 
