@@ -16,6 +16,11 @@ run() {
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 
+# The benchmark package (benchmark/, its own Cargo workspace) builds on the
+# crates' public API. Perf changes may not edit it, so an API change that
+# breaks it must fail here rather than when the benchmark next runs.
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # clippy/fmt are optional toolchain components; gate on availability so the
 # script works on minimal rust installs.
 if cargo clippy --version >/dev/null 2>&1; then
