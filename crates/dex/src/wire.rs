@@ -1028,32 +1028,6 @@ pub fn encoded_dex_len(dex: &DexFile) -> usize {
     w.buf.0
 }
 
-/// Streams encoded bytes straight into a SHA-256 state — digesting without
-/// materializing (manifest computation hashes the full DEX; going through
-/// the hasher's 64-byte buffer skips the transient multi-hundred-KB copy).
-struct HashSink(sha256::Sha256);
-
-impl Sink for HashSink {
-    fn put(&mut self, bytes: &[u8]) {
-        self.0.update(bytes);
-    }
-    fn put_byte(&mut self, b: u8) {
-        self.0.update(&[b]);
-    }
-}
-
-/// SHA-256 of [`encode_dex`]'s output, computed by streaming the encoding
-/// through the digest state instead of materializing the byte vector.
-/// Bit-identical to `sha256::digest(&encode_dex(dex))` because both paths
-/// share the same generic writers.
-pub fn dex_digest(dex: &DexFile) -> Digest256 {
-    let mut w = Writer {
-        buf: HashSink(sha256::Sha256::new()),
-    };
-    write_dex(&mut w, dex);
-    w.buf.0.finalize()
-}
-
 /// Decodes a complete DEX file.
 ///
 /// # Errors
@@ -1241,16 +1215,6 @@ mod tests {
     fn encoding_is_deterministic() {
         let dex = rich_dex();
         assert_eq!(encode_dex(&dex), encode_dex(&dex));
-    }
-
-    #[test]
-    fn streamed_digest_matches_materialized() {
-        let dex = rich_dex();
-        assert_eq!(dex_digest(&dex), sha256::digest(&encode_dex(&dex)));
-        assert_eq!(
-            dex_digest(&DexFile::new()),
-            sha256::digest(&encode_dex(&DexFile::new()))
-        );
     }
 
     #[test]
