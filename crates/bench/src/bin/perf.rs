@@ -255,6 +255,23 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
         }));
     }
 
+    if wanted("pipeline/protect_paper") {
+        // The same pass under the paper's configuration: 10,000 profiling
+        // events, so profiling and planning take the shares they take in
+        // a store upload rather than those of the 300-event fast profile.
+        let protector = bombdroid_core::Protector::new(ProtectConfig::default());
+        push(run_bench("pipeline/protect_paper", None, config, || {
+            let mut rng = StdRng::seed_from_u64(1);
+            std::hint::black_box(
+                protector
+                    .protect(std::hint::black_box(&apk), &mut rng)
+                    .unwrap()
+                    .report
+                    .bombs_injected(),
+            );
+        }));
+    }
+
     if wanted("pipeline/protect_batch8") {
         // The whole-fleet cost: protect every flagship once per iteration
         // (what a store-side protection service pays per corpus sweep).
