@@ -1,10 +1,17 @@
 //! Cross-crate tests of the attack surface: what each adversary tool can
 //! and cannot see or do against real protected builds.
 
+use bombdroid::analysis::backward_slice;
 use bombdroid::attacks::{self, symbolic, textsearch};
 use bombdroid::core::{NaiveProtector, ProtectConfig, Protector};
+use bombdroid::corpus::flagship;
+use bombdroid::crypto::{hex, Sha256};
+use bombdroid::dex::Instr;
 use bombdroid::prelude::*;
+use bombdroid::runtime::RtValue;
 use rand::{rngs::StdRng, SeedableRng};
+
+mod common;
 
 fn protected_trio() -> (ApkFile, ApkFile, ApkFile) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -137,4 +144,83 @@ fn forced_execution_cannot_fake_the_install_state() {
         b.manifest_digests.get("res/icon.png"),
         "icon swap shows up in the system-managed manifest"
     );
+}
+
+/// Pins what detached-fragment execution observes: the primitive behind
+/// forced execution and slice execution (paper §2.1). Two flagships are
+/// each protected by BombDroid and by `NaiveProtector` (whose plaintext
+/// payloads let detached runs complete), under `fast_profile()`. Every
+/// method of the hash-guard-forced dex runs under 6 register probes, and
+/// the backward slice of every `DecryptExec` and `HostCall` under 4. One
+/// SHA-256 covers each run's result and the instruction count after it,
+/// then the VM's final telemetry, clock and statics.
+const DETACHED_DIGEST: &str = "7cf6d35987eb3c10e53a5e4a29c4dabb46713fc45bbaf6052ef36c3a37806995";
+
+#[test]
+fn detached_fragment_runs_match_pinned_digest() {
+    const FORCED_PROBES: [i64; 6] = [0, 1, -1, 7, 1_000, i64::MAX];
+    const SLICE_PROBES: [i64; 4] = [0, 1, 42, 999];
+    let mut rng = StdRng::seed_from_u64(31);
+    let dev = DeveloperKey::generate(&mut rng);
+    let mut all = Sha256::new();
+    let (mut completed, mut faulted, mut opened) = (0usize, 0usize, 0usize);
+    for app in [flagship::hash_droid(), flagship::angulo()] {
+        let apk = app.apk(&dev);
+        let config = ProtectConfig::fast_profile();
+        let builds = [
+            Protector::new(config.clone())
+                .protect(&apk, &mut rng)
+                .unwrap()
+                .package(&dev),
+            NaiveProtector::new(config)
+                .protect(&apk, &mut rng)
+                .unwrap()
+                .package(&dev),
+        ];
+        for signed in &builds {
+            let mut forced = (*signed.dex).clone();
+            attacks::instrument::force_hash_branches(&mut forced);
+            let mut runs: Vec<(Vec<Instr>, usize, &[i64])> = forced
+                .methods()
+                .map(|m| {
+                    (
+                        m.body.clone(),
+                        usize::from(m.registers.max(4)),
+                        &FORCED_PROBES[..],
+                    )
+                })
+                .collect();
+            for m in signed.dex.methods() {
+                for (pc, instr) in m.body.iter().enumerate() {
+                    if matches!(instr, Instr::DecryptExec { .. } | Instr::HostCall { .. }) {
+                        let slice = backward_slice(m, pc).extract(m);
+                        runs.push((slice, usize::from(m.registers), &SLICE_PROBES[..]));
+                    }
+                }
+            }
+            let pkg = InstalledPackage::install(signed).expect("attacker installs the app");
+            let env = DeviceEnv::attacker_lab(1).remove(0);
+            let mut vm = Vm::new(pkg, env, 5, VmOptions::default());
+            for (body, registers, probes) in &runs {
+                for &probe in *probes {
+                    let result =
+                        vm.run_detached_fragment(body, vec![RtValue::Int(probe); *registers]);
+                    match result {
+                        Ok(_) => completed += 1,
+                        Err(_) => faulted += 1,
+                    }
+                    common::absorb(&mut all, format!("{result:?}").as_bytes());
+                    all.update(&vm.telemetry().instr_executed.to_le_bytes());
+                }
+            }
+            opened += vm.telemetry().blobs_decrypted.len();
+            common::absorb_session(&mut all, &vm);
+        }
+    }
+    assert!(
+        completed > 0 && faulted > 0,
+        "both outcomes must be covered"
+    );
+    assert!(opened > 0, "a detached run must open a blob");
+    assert_eq!(hex::encode(&all.finalize()), DETACHED_DIGEST);
 }
