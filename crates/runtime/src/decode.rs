@@ -1,9 +1,11 @@
-//! Pre-decode pass: lowers `dex::Instr` method bodies into flat,
-//! cache-friendly [`DecodedOp`] arrays.
+//! Pre-decode pass: lowers `dex::Instr` bodies into flat, cache-friendly
+//! [`DecodedOp`] arrays, the only form the VM executes.
 //!
 //! Decoding happens once per method per package (lazily, behind a
 //! [`OnceLock`], next to the package's lazy class digests and dispatch
-//! index) and pays for itself on the first few executions:
+//! index) and once per opened fragment per program; a detached fragment
+//! is lowered each time it runs. Lowering pays for itself on the first few
+//! executions:
 //!
 //! * register operands become pre-resolved `usize` indices into a frame
 //!   whose size is known up front, so the hot loop indexes directly instead
@@ -16,8 +18,7 @@
 //!   key table, so `GetStatic`/`PutStatic` index the statics vector and
 //!   field-value profiling indexes the VM's sample table instead of
 //!   rendering and hashing a string per execution (decrypted fragments
-//!   intern their keys when they are decoded; the legacy tree-walker
-//!   resolves names through the same table);
+//!   intern their keys when they are decoded);
 //! * hot instruction pairs are fused into superinstructions
 //!   ([`DecodedOp::HashIf`], [`DecodedOp::BinOpConstIf`],
 //!   [`DecodedOp::ConstIf`], [`DecodedOp::ConstArrayGet`]), and
@@ -29,9 +30,8 @@
 //!
 //! The decoded form is an *encoding* change only: every fused op replays
 //! the exact micro-op sequence of the original pair (charge, write,
-//! charge, branch), and every `If` carries the original instruction index
-//! so QC-coverage telemetry keys (`eq_satisfied` / `outer_satisfied`)
-//! stay bit-identical with the legacy tree-walker.
+//! charge, branch), and every `If` carries the original instruction index,
+//! which keys QC-coverage telemetry (`eq_satisfied` / `outer_satisfied`).
 
 use crate::package::InstalledPackage;
 use crate::value::RtValue;
@@ -265,8 +265,8 @@ pub(crate) enum DecodedOp {
     /// Fused run of two or more consecutive `BinOp`/`BinOpConst`
     /// instructions — one dispatch for a whole straight-line arithmetic
     /// chain (generated hash arithmetic is dominated by these). Each step
-    /// replays its legacy micro-ops in order: charge, operand reads (with
-    /// the legacy fault precedence), compute, write.
+    /// replays its instruction's micro-ops in order: charge, operand reads
+    /// (lhs faulting before rhs), compute, write.
     ArithChain {
         steps: Box<[ArithStep]>,
     },
@@ -280,7 +280,7 @@ pub(crate) enum DecodedOp {
     },
 }
 
-/// A fully decoded method body (or decrypted fragment body).
+/// A fully decoded method body, decrypted fragment or detached fragment.
 #[derive(Debug)]
 pub(crate) struct DecodedBody {
     pub ops: Vec<DecodedOp>,
@@ -314,23 +314,6 @@ struct FieldSlots {
     keys: Vec<Arc<str>>,
 }
 
-/// A decrypted fragment: the raw instructions (run by the legacy engine)
-/// plus their decoded form, lowered on first use.
-#[derive(Debug)]
-pub(crate) struct Fragment {
-    pub raw: Vec<Instr>,
-    decoded: OnceLock<Arc<DecodedBody>>,
-}
-
-impl Fragment {
-    /// The decoded form, lowered once with the resolved call targets of the
-    /// program whose cache holds this fragment.
-    pub fn decoded_body(&self, pkg: &InstalledPackage, prog: &DecodedProgram) -> &Arc<DecodedBody> {
-        self.decoded
-            .get_or_init(|| Arc::new(decode_body(pkg, prog, &self.raw)))
-    }
-}
-
 /// Per-package decoded program: a flat table of every method, indexed by
 /// `class_offsets[ci] + mi`, plus the field-key slot table and the
 /// decrypted fragments, shared by all VMs (and forked sessions) booting
@@ -346,8 +329,9 @@ pub(crate) struct DecodedProgram {
     /// Fragments that opened successfully, by (blob id, derived key). A
     /// program serves one `Arc<DexFile>`, whose blobs cannot change, so the
     /// key fixes the plaintext. Only a right key opens a blob, which bounds
-    /// the cache by the program's blob count.
-    pub(crate) fragments: Mutex<HashMap<(u32, Key128), Arc<Fragment>>>,
+    /// the cache by the program's blob count. Each entry is lowered with
+    /// this program's call targets and field slots.
+    pub(crate) fragments: Mutex<HashMap<(u32, Key128), Arc<DecodedBody>>>,
 }
 
 impl DecodedProgram {
@@ -391,7 +375,7 @@ impl DecodedProgram {
 
     /// The slot of field key `key` (`Class.field`), assigning the next
     /// free slot on first sight. Called at decode time, never per executed
-    /// instruction (except by the legacy tree-walker).
+    /// instruction.
     pub fn field_slot(&self, key: &str) -> usize {
         let mut slots = self.fields.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(&slot) = slots.index.get(key) {
@@ -412,23 +396,17 @@ impl DecodedProgram {
 
     /// The fragment `blob` opened to under `key`, if a VM of this program
     /// opened it before.
-    pub fn cached_fragment(&self, blob: u32, key: &Key128) -> Option<Arc<Fragment>> {
+    pub fn cached_fragment(&self, blob: u32, key: &Key128) -> Option<Arc<DecodedBody>> {
         let cache = self.fragments.lock().unwrap_or_else(|e| e.into_inner());
         cache.get(&(blob, *key)).cloned()
     }
 
-    /// Caches the fragment `blob` opened to under `key` and returns the
-    /// cached entry. If another VM cached it first, that entry wins, so
-    /// each fragment is decoded once however many threads opened it.
-    pub fn cache_fragment(&self, blob: u32, key: Key128, raw: Vec<Instr>) -> Arc<Fragment> {
+    /// Caches the lowered fragment `blob` opened to under `key` and returns
+    /// the cached entry. If another VM cached it first, that entry wins, so
+    /// every VM of the program runs the same body.
+    pub fn cache_fragment(&self, blob: u32, key: Key128, body: DecodedBody) -> Arc<DecodedBody> {
         let mut cache = self.fragments.lock().unwrap_or_else(|e| e.into_inner());
-        let f = cache.entry((blob, key)).or_insert_with(|| {
-            Arc::new(Fragment {
-                raw,
-                decoded: OnceLock::new(),
-            })
-        });
-        Arc::clone(f)
+        Arc::clone(cache.entry((blob, key)).or_insert_with(|| Arc::new(body)))
     }
 
     /// Number of methods in the flat table.
@@ -441,8 +419,8 @@ impl DecodedProgram {
         self.class_offsets[ci] + mi
     }
 
-    /// Resolves a method reference to its flat id, with exactly the legacy
-    /// shadowing semantics (via the package's dispatch index).
+    /// Resolves a method reference to its flat id, with the shadowing rules
+    /// of [`InstalledPackage::resolve_method`].
     pub fn resolve(&self, pkg: &InstalledPackage, mref: &MethodRef) -> Option<usize> {
         pkg.resolve_method(mref)
             .map(|(ci, mi)| self.flat_id(ci, mi))

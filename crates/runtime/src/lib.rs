@@ -77,6 +77,5 @@ pub use snapshot::{SessionPool, VmSnapshot};
 pub use telemetry::{ResponseEvent, ResponseKind, Telemetry};
 pub use value::RtValue;
 pub use vm::{
-    AttackerHooks, CovEdge, EventOutcome, Fault, Vm, VmEngine, VmOptions, HEAP_CELL_BUDGET,
-    MAX_CONCAT_LEN,
+    AttackerHooks, CovEdge, EventOutcome, Fault, Vm, VmOptions, HEAP_CELL_BUDGET, MAX_CONCAT_LEN,
 };

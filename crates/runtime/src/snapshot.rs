@@ -14,7 +14,7 @@
 //! seed — which is what lets the fleet harness route every boot through a
 //! pool without changing a single observable byte.
 
-use crate::decode::Fragment;
+use crate::decode::DecodedBody;
 use crate::env::DeviceEnv;
 use crate::package::InstalledPackage;
 use crate::telemetry::Telemetry;
@@ -39,13 +39,12 @@ pub struct VmSnapshot {
     arrays: Arc<Vec<Vec<RtValue>>>,
     heap_cells: u64,
     telemetry: Telemetry,
-    blob_cache: HashMap<u32, Arc<Fragment>>,
+    blob_cache: HashMap<u32, Arc<DecodedBody>>,
     clock_ms: u64,
     instr_accum: u64,
     fuel: u64,
     killed: bool,
     frozen: bool,
-    decoded_engine: bool,
     call_counts: Vec<u64>,
     field_samples: Vec<Vec<(u64, Value)>>,
     op_mix: OpMix,
@@ -76,7 +75,6 @@ impl Vm {
             fuel: self.fuel,
             killed: self.killed,
             frozen: self.frozen,
-            decoded_engine: self.decoded_engine,
             call_counts: self.call_counts.clone(),
             field_samples: self.field_samples.clone(),
             op_mix: self.op_mix,
@@ -115,7 +113,6 @@ impl VmSnapshot {
             fuel: self.fuel,
             killed: self.killed,
             frozen: self.frozen,
-            decoded_engine: self.decoded_engine,
             call_counts: self.call_counts.clone(),
             field_samples: self.field_samples.clone(),
             op_mix: self.op_mix,
@@ -151,7 +148,6 @@ impl VmSnapshot {
             fuel: 0,
             killed: false,
             frozen: false,
-            decoded_engine: self.decoded_engine,
             // Like telemetry, the profile tables start empty.
             call_counts: Vec::new(),
             field_samples: Vec::new(),
@@ -235,7 +231,6 @@ impl SessionPool {
 mod tests {
     use super::*;
     use crate::driver::{run_session, RandomEventSource};
-    use crate::vm::VmEngine;
     use bombdroid_apk::{package_app, AppMeta, DeveloperKey, StringsXml};
     use bombdroid_dex::{
         Class, DexFile, EntryPoint, FieldRef, MethodBuilder, MethodRef, Reg, Value,
@@ -280,23 +275,18 @@ mod tests {
     #[test]
     fn pristine_fork_is_bit_identical_to_cold_boot() {
         let pkg = Arc::new(fixture());
-        for engine in [VmEngine::Decoded, VmEngine::Legacy] {
-            let opts = VmOptions {
-                engine,
-                ..VmOptions::default()
-            };
-            let pool = {
-                let booted = Vm::new(Arc::clone(&pkg), env(1), 0, opts.clone());
-                SessionPool::warmed(booted.snapshot())
-            };
-            let mut forked = pool.session(env(2), 99);
-            let mut cold = Vm::new(Arc::clone(&pkg), env(2), 99, opts);
-            drive(&mut forked, 5);
-            drive(&mut cold, 5);
-            assert_eq!(forked.telemetry(), cold.telemetry());
-            assert_eq!(forked.statics_snapshot(), cold.statics_snapshot());
-            assert_eq!(forked.clock_ms(), cold.clock_ms());
-        }
+        let opts = VmOptions::default();
+        let pool = {
+            let booted = Vm::new(Arc::clone(&pkg), env(1), 0, opts.clone());
+            SessionPool::warmed(booted.snapshot())
+        };
+        let mut forked = pool.session(env(2), 99);
+        let mut cold = Vm::new(Arc::clone(&pkg), env(2), 99, opts);
+        drive(&mut forked, 5);
+        drive(&mut cold, 5);
+        assert_eq!(forked.telemetry(), cold.telemetry());
+        assert_eq!(forked.statics_snapshot(), cold.statics_snapshot());
+        assert_eq!(forked.clock_ms(), cold.clock_ms());
     }
 
     #[test]

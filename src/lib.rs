@@ -45,7 +45,7 @@ pub mod prelude {
     };
     pub use bombdroid_runtime::{
         run_session, DeviceEnv, DeviceProfile, InstalledPackage, RandomEventSource, SessionPool,
-        UserEventSource, Vm, VmEngine, VmOptions, VmSnapshot,
+        UserEventSource, Vm, VmOptions, VmSnapshot,
     };
     pub use bombdroid_sim::{
         BombCatalog, DevicePopulation, MarketConfig, SimConfig, Simulator, SyntheticRunner,
