@@ -50,8 +50,7 @@ pub struct ResponseEvent {
 /// out on demand.
 ///
 /// Derives `PartialEq`/`Eq` so suites can assert *bit-identity* between
-/// runs — the telemetry-identity mode of `tests/behavior_preservation.rs`
-/// diffs whole `Telemetry` values across execution engines.
+/// runs, such as a forked session against a cold boot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// Instructions executed (the cost model's cycle count).

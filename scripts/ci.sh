@@ -16,6 +16,14 @@ run() {
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 
+# `cargo test` builds the examples but never runs them, and they assert
+# their own invariants: quickstart's legit-install checks,
+# market_simulation's kill+resume bit-identity. attack_lab also drives
+# forced and slice execution through detached fragments.
+for example in quickstart protect_pipeline attack_lab market_simulation; do
+    run cargo run -q --release --offline --example "$example"
+done
+
 # The benchmark package (benchmark/, its own Cargo workspace) builds on the
 # crates' public API. Perf changes may not edit it, so an API change that
 # breaks it must fail here rather than when the benchmark next runs.
