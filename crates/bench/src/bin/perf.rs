@@ -13,12 +13,15 @@
 //! CI smoke profile: it validates the plumbing end to end but its numbers
 //! are not comparison-grade. `--compare` prints the per-benchmark median
 //! deltas between two artifacts and exits nonzero if any benchmark
-//! regressed past the threshold (default 10%); `--filter` restricts the
-//! comparison to benchmarks whose name contains the substring, which is
-//! how CI hard-gates the `vm/` family while keeping the rest advisory.
+//! regressed past the threshold (default 10%) or if a baseline benchmark
+//! is missing from the candidate (a benchmark only the candidate has is
+//! informational); `--filter` restricts the comparison to benchmarks whose
+//! name contains the substring, which is how CI hard-gates the `vm/` and
+//! `pipeline/` families while keeping the rest advisory.
 //! See EXPERIMENTS.md § "Perf
 //! harness" for the schema and how to compare runs across PRs.
 
+use bombdroid_analysis::{backward_slice, Cfg, Dominators, LoopInfo};
 use bombdroid_apk::repackage;
 use bombdroid_bench::perf::{
     compare_bench_json, run_bench, to_json, validate_bench_json, BenchResult, PerfConfig,
@@ -30,7 +33,7 @@ use bombdroid_bench::{
 use bombdroid_core::{profile_app, FleetConfig, ProtectConfig};
 use bombdroid_corpus::{flagship, UserProfile};
 use bombdroid_crypto::{aes, blob, kdf, sha1, sha256};
-use bombdroid_dex::{wire, Value};
+use bombdroid_dex::{wire, Instr, Value};
 use bombdroid_obs::{self as obs, ObsMode, Recorder, ShardAggregator};
 use bombdroid_runtime::{
     run_session, DeviceEnv, EventSource, InstalledPackage, RandomEventSource, SessionPool,
@@ -128,16 +131,25 @@ fn compare(base_path: &str, cand_path: &str, threshold_pct: f64, filter: Option<
     }
     print!("{}", report.render());
     let regressions = report.regressions();
-    if regressions.is_empty() {
-        println!("perf --compare: OK (no benchmark regressed more than {threshold_pct}%)");
-    } else {
+    let missing = report.missing();
+    if !regressions.is_empty() {
         eprintln!(
             "perf --compare: {} benchmark(s) regressed more than {threshold_pct}%: {}",
             regressions.len(),
             regressions.join(", ")
         );
+    }
+    if !missing.is_empty() {
+        eprintln!(
+            "perf --compare: {} baseline benchmark(s) missing from {cand_path}: {}",
+            missing.len(),
+            missing.join(", ")
+        );
+    }
+    if !regressions.is_empty() || !missing.is_empty() {
         std::process::exit(1);
     }
+    println!("perf --compare: OK (no benchmark regressed more than {threshold_pct}%)");
 }
 
 fn check(path: &str) {
@@ -237,39 +249,105 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
         }));
     }
 
+    // --- analysis: the Soot-shaped substrate behind site planning ---
+    if wanted("analysis/cfg_all_methods") {
+        push(run_bench("analysis/cfg_all_methods", None, config, || {
+            let blocks: usize = app
+                .dex
+                .methods()
+                .map(|m| Cfg::build(std::hint::black_box(m)).len())
+                .sum();
+            std::hint::black_box(blocks);
+        }));
+    }
+    if wanted("analysis/dominators_loops") {
+        let cfgs: Vec<Cfg> = app
+            .dex
+            .methods()
+            .map(Cfg::build)
+            .filter(|cfg| !cfg.is_empty())
+            .collect();
+        push(run_bench("analysis/dominators_loops", None, config, || {
+            let loops: usize = cfgs
+                .iter()
+                .map(|cfg| {
+                    let dom = Dominators::compute(std::hint::black_box(cfg));
+                    LoopInfo::compute(cfg, &dom).back_edges.len()
+                })
+                .sum();
+            std::hint::black_box(loops);
+        }));
+    }
+    if wanted("analysis/backward_slice_largest_method") {
+        // Slice from the last non-return instruction of the biggest method.
+        let method = app
+            .dex
+            .methods()
+            .max_by_key(|m| m.body.len())
+            .expect("nonempty app");
+        let seed = method
+            .body
+            .iter()
+            .rposition(|i| !matches!(i, Instr::Return { .. }))
+            .unwrap_or(0);
+        push(run_bench(
+            "analysis/backward_slice_largest_method",
+            None,
+            config,
+            || {
+                std::hint::black_box(backward_slice(std::hint::black_box(method), seed).pcs.len());
+            },
+        ));
+    }
+
     // --- pipeline: the full protect pass (the service's per-APK cost) ---
     let (dev, _) = fixed_keys();
     let apk = app.apk(&dev);
     let protect_config = ProtectConfig::fast_profile();
-    if wanted("pipeline/protect_flagship") {
-        let protector = bombdroid_core::Protector::new(protect_config.clone());
-        push(run_bench("pipeline/protect_flagship", None, config, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(
-                protector
-                    .protect(std::hint::black_box(&apk), &mut rng)
-                    .unwrap()
-                    .report
-                    .bombs_injected(),
-            );
-        }));
-    }
-
-    if wanted("pipeline/protect_paper") {
-        // The same pass under the paper's configuration: 10,000 profiling
-        // events, so profiling and planning take the shares they take in
-        // a store upload rather than those of the 300-event fast profile.
-        let protector = bombdroid_core::Protector::new(ProtectConfig::default());
-        push(run_bench("pipeline/protect_paper", None, config, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(
-                protector
-                    .protect(std::hint::black_box(&apk), &mut rng)
-                    .unwrap()
-                    .report
-                    .bombs_injected(),
-            );
-        }));
+    // One protect pass of Hash Droid per iteration. pipeline/protect_paper
+    // runs it under the paper's configuration: 10,000 profiling events, so
+    // profiling and planning take the shares they take in a store upload
+    // rather than those of the 300-event fast profile. Each ablation/ line
+    // is pipeline/protect_flagship with one DESIGN.md §6 choice flipped.
+    let single_passes = [
+        ("pipeline/protect_flagship", protect_config.clone()),
+        ("pipeline/protect_paper", ProtectConfig::default()),
+        (
+            "ablation/protect_single_trigger",
+            ProtectConfig {
+                double_trigger: false,
+                ..protect_config.clone()
+            },
+        ),
+        (
+            "ablation/protect_alpha_0",
+            ProtectConfig {
+                alpha: 0.0,
+                ..protect_config.clone()
+            },
+        ),
+        (
+            "ablation/protect_weave_off",
+            ProtectConfig {
+                weave_original: false,
+                ..protect_config.clone()
+            },
+        ),
+    ];
+    for (name, protect) in single_passes {
+        if wanted(name) {
+            let protector = bombdroid_core::Protector::new(protect);
+            push(run_bench(name, None, config, || {
+                let mut rng = StdRng::seed_from_u64(1);
+                std::hint::black_box(
+                    protector
+                        .protect(std::hint::black_box(&apk), &mut rng)
+                        .unwrap()
+                        .report
+                        .bombs_injected(),
+                );
+            }));
+        }
     }
 
     if wanted("pipeline/protect_batch8") {
@@ -291,26 +369,7 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
         }));
     }
 
-    // --- service: protect-as-a-service throughput + queue overhead ---
-    if wanted("service/protect_qps") {
-        // Sustained intake→drain over all eight flagships with a cold
-        // cache each iteration: the store-side cost of one corpus sweep
-        // through the service path (admission, sharding, cache misses).
-        let apks: Vec<_> = flagships().iter().map(|a| Arc::new(a.apk(&dev))).collect();
-        push(run_bench("service/protect_qps", None, config, || {
-            let mut svc = bombdroid_core::ProtectService::with_threads(1, apks.len());
-            for apk in &apks {
-                svc.submit(bombdroid_core::ProtectJob {
-                    apk: Arc::clone(apk),
-                    config: protect_config.clone(),
-                    seed: bombdroid_core::SeedPolicy::PerApp { base: 0x7AB0 },
-                })
-                .unwrap();
-            }
-            let outcomes = svc.drain();
-            std::hint::black_box(outcomes.len());
-        }));
-    }
+    // --- service: protect-as-a-service queue overhead ---
     if wanted("service/queue_cycle_64") {
         // Queue latency floor: 64 duplicate jobs against a warm shared
         // cache — every request is a hit, so this isolates submit +
@@ -444,31 +503,58 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
         }
         if wanted("vm/profile_2k_events") {
             // The protect prologue's dominant stage: install + boot + 2 000
-            // random events. Sensitive to per-boot dex copies.
+            // random events. Sensitive to per-boot dex copies. Measured
+            // with recording off whatever BOMBDROID_OBS says: it is also
+            // the off side of obs/profile_2k_full.
             let profile_config = ProtectConfig {
                 profiling_events: 2_000,
                 ..protect_config.clone()
             };
             let apk = app.apk(&dev);
+            let prior = obs::mode();
+            obs::set_mode(ObsMode::Off);
             push(run_bench("vm/profile_2k_events", None, config, || {
                 let hot = profile_app(std::hint::black_box(&apk), &profile_config, 11)
                     .expect("signed apk profiles")
                     .hot;
                 std::hint::black_box(hot.len());
             }));
+            obs::set_mode(prior);
         }
+    }
+
+    // --- attacks: the brute-force cracker's per-try kernel ---
+    if wanted("attacks/brute_crack_80k_tries") {
+        // An int constant the enumeration reaches after ~80k tries: the
+        // condition hash per candidate dominates.
+        let salt = b"bench-salt".to_vec();
+        let condition = bombdroid_attacks::brute::ObfuscatedCondition {
+            method: bombdroid_dex::MethodRef::new("T", "m"),
+            pc: 0,
+            hc: kdf::condition_hash(&Value::Int(40_000).canonical_bytes(), &salt).to_vec(),
+            salt,
+        };
+        push(run_bench(
+            "attacks/brute_crack_80k_tries",
+            None,
+            config,
+            || {
+                let cracked =
+                    bombdroid_attacks::brute::crack(std::hint::black_box(&condition), 100_000);
+                std::hint::black_box(cracked.tries);
+            },
+        ));
     }
 
     // --- obs: facade + streaming-aggregation cost ---
     // The observability contract is "off is near-free, full is cheap":
     // these lines pin the facade hot path (existing-key lookups must not
     // allocate) and the end-to-end overhead of full recording on the
-    // profile workload. `set_mode` forces the mode per bench so one
-    // process measures both sides; the prior mode is restored after.
+    // profile workload. `set_mode` forces the mode per bench; the prior
+    // mode is restored after.
     if wanted("obs/facade_counter_hot_1k")
         || wanted("obs/facade_timing_hot_1k")
         || wanted("obs/aggregator_absorb")
-        || wanted("obs/profile_2k_off")
         || wanted("obs/profile_2k_full")
     {
         let prior = obs::mode();
@@ -515,23 +601,14 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
                 }
             }));
         }
-        // The off-vs-full pair on the protect prologue's dominant stage
-        // (same workload as vm/profile_2k_events): full recording —
-        // spans, op-mix counters, flight notes — must stay within a few
-        // percent of off.
+        // The full side of the off-vs-full pair on the protect prologue's
+        // dominant stage; vm/profile_2k_events is the off side. Full
+        // recording — spans, op-mix counters, flight notes — must stay
+        // within a few percent of off.
         let profile_config = ProtectConfig {
             profiling_events: 2_000,
             ..protect_config.clone()
         };
-        if wanted("obs/profile_2k_off") {
-            obs::set_mode(ObsMode::Off);
-            push(run_bench("obs/profile_2k_off", None, config, || {
-                let hot = profile_app(std::hint::black_box(&apk), &profile_config, 11)
-                    .expect("signed apk profiles")
-                    .hot;
-                std::hint::black_box(hot.len());
-            }));
-        }
         if wanted("obs/profile_2k_full") {
             obs::set_mode(ObsMode::Full);
             let scratch = Arc::new(Recorder::new());

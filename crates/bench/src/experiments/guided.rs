@@ -7,8 +7,9 @@
 //! flagship under the shared [`PROTECT_BASE`] seed, producing a
 //! bombs-found-vs-exec-budget curve per config. The curves are exported as
 //! a schema-versioned JSON artifact (`guided_resilience.json`) that
-//! `guided_check` validates in CI: the control curve must reach at least
-//! one bomb, and every reported bomb must have replay-validated.
+//! `artifact_check` holds to [`accept_guided_json`] in CI: the control
+//! curve must reach at least one bomb, and every reported bomb must have
+//! replay-validated.
 
 use super::harness::{shared_cache, PROTECT_BASE};
 use bombdroid_attacks::{fuzz, GuidedConfig};
@@ -233,9 +234,48 @@ pub fn validate_guided_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The CI acceptance rules on top of [`validate_guided_json`]: every
+/// reported bomb replay-validated (`validated == found` in each config),
+/// and the `control` config — single-trigger, no bogus bombs — found at
+/// least one bomb, so a fuzzer that silently stopped finding anything
+/// fails. Returns a one-line summary of the accepted document.
+pub fn accept_guided_json(text: &str) -> Result<String, String> {
+    validate_guided_json(text)?;
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let configs = doc
+        .get("configs")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing \"configs\" array")?;
+    let mut control_found = None;
+    for c in configs {
+        let name = c.get("name").and_then(JsonValue::as_str).unwrap_or("?");
+        let found = req_int(c, "found", name)?;
+        let validated = req_int(c, "validated", name)?;
+        if validated != found {
+            return Err(format!(
+                "config {name:?} reported {found} bombs but only {validated} replay-validated"
+            ));
+        }
+        if name == "control" {
+            control_found = Some(found);
+        }
+    }
+    match control_found {
+        Some(n) if n >= 1 => Ok(format!(
+            "{} configs, control found {n} bomb(s)",
+            configs.len()
+        )),
+        Some(n) => Err(format!(
+            "control config found {n} bombs — a working guided fuzzer must crack the unprotected control app"
+        )),
+        None => Err("no \"control\" config in artifact".to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::check_artifact;
     use bombdroid_attacks::ResetMode;
 
     fn rows() -> Vec<GuidedCurveRow> {
@@ -271,6 +311,29 @@ mod tests {
         short_curve[0].curve = vec![(120, 2)]; // never reaches `execs`
         let text = guided_json("HashDroid", 1, &short_curve);
         assert!(validate_guided_json(&text).is_err());
+    }
+
+    #[test]
+    fn artifact_check_holds_the_acceptance_rules() {
+        let check = |rows: &[GuidedCurveRow]| {
+            check_artifact(&guided_json("HashDroid", PROTECT_BASE, rows), &[])
+        };
+        check(&rows()).expect("self-produced artifact accepted");
+        let mut barren_control = rows();
+        barren_control[0].found = 0;
+        barren_control[0].validated = 0;
+        barren_control[0].curve = vec![(120, 0), (240, 0)];
+        let err = check(&barren_control).expect_err("control found = 0 rejected");
+        assert!(err.contains("control config found 0"), "{err}");
+        let mut unvalidated = rows();
+        unvalidated[0].validated = 1; // schema-valid: validated <= found
+        validate_guided_json(&guided_json("HashDroid", PROTECT_BASE, &unvalidated))
+            .expect("validated < found is schema-valid");
+        let err = check(&unvalidated).expect_err("validated < found rejected");
+        assert!(err.contains("only 1 replay-validated"), "{err}");
+        let mut no_control = rows();
+        no_control[0].config = "default".to_string();
+        assert!(check(&no_control).is_err());
     }
 
     #[test]

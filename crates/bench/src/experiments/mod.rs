@@ -42,16 +42,17 @@ pub use fig3::{fig3, Fig3Data};
 pub use fig4::{fig4, fig4_with, Fig4Row};
 pub use fig5::{fig5, fig5_with, Fig5Series};
 pub use guided::{
-    guided_configs, guided_curves, guided_json, validate_guided_json, GuidedCurveRow,
-    GUIDED_SCHEMA_VERSION,
+    accept_guided_json, guided_configs, guided_curves, guided_json, validate_guided_json,
+    GuidedCurveRow, GUIDED_SCHEMA_VERSION,
 };
 pub use harness::{
     default_fleet, drive_events, flagships, protect_app, shared_cache, time_to_first_bomb,
     ExperimentError, ProtectedAppCache, PROTECT_BASE,
 };
 pub use population::{
-    population_config, population_json, population_rows, validate_population_json,
-    PopulationBombRow, PopulationResume, PopulationScaleRow, POPULATION_SCHEMA_VERSION,
+    accept_population_json, population_config, population_json, population_rows,
+    validate_population_json, PopulationBombRow, PopulationResume, PopulationScaleRow,
+    POPULATION_SCHEMA_VERSION,
 };
 pub use resilience::{resilience_reports, resilience_reports_with};
 pub use service::{

@@ -14,7 +14,8 @@
 //!   the uninterrupted run's report byte-for-byte.
 //!
 //! Results are exported as the schema-versioned `population.json`
-//! artifact, validated by the `population_check` bin in CI.
+//! artifact, which `artifact_check` holds to [`accept_population_json`]
+//! in CI.
 
 use super::harness::{shared_cache, PROTECT_BASE};
 use bombdroid_apk::{repackage, DeveloperKey};
@@ -465,9 +466,48 @@ pub fn validate_population_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Outer-trigger sessions the largest scale must observe, summed over its
+/// bombs, before the 3σ bands of [`validate_population_json`] have teeth.
+const MIN_LARGEST_SCALE_OUTER: i128 = 100;
+
+/// The CI acceptance rules on top of [`validate_population_json`] (which
+/// already demands a bit-identical resume): the largest scale must have
+/// seen at least [`MIN_LARGEST_SCALE_OUTER`] outer-trigger sessions, or a
+/// broken VM that never decrypts a blob would sail through vacuous bands.
+/// Returns a one-line summary of the accepted document.
+pub fn accept_population_json(text: &str) -> Result<String, String> {
+    validate_population_json(text)?;
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let scales = doc
+        .get("scales")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing \"scales\" array")?;
+    let largest = scales.last().ok_or("\"scales\" must not be empty")?;
+    let devices = req_int(largest, "devices", "scale")?;
+    let outer_total = largest
+        .get("bombs")
+        .and_then(JsonValue::as_array)
+        .ok_or("largest scale: missing \"bombs\" array")?
+        .iter()
+        .map(|b| req_int(b, "outer_sessions", "bomb"))
+        .sum::<Result<i128, _>>()?;
+    if outer_total < MIN_LARGEST_SCALE_OUTER {
+        return Err(format!(
+            "largest scale ({devices} devices) saw only {outer_total} \
+             outer-trigger sessions — bomb triggering looks broken"
+        ));
+    }
+    Ok(format!(
+        "{} scales, largest {devices} devices, {outer_total} outer sessions, \
+         resume bit-identical",
+        scales.len()
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::check_artifact;
 
     fn rows() -> (Vec<PopulationScaleRow>, PopulationResume) {
         let bombs = vec![PopulationBombRow {
@@ -529,6 +569,28 @@ mod tests {
         broken_resume.identical = false;
         let text = population_json(POPULATION_APP, 14, &rows_ok, &broken_resume);
         assert!(validate_population_json(&text).is_err());
+    }
+
+    #[test]
+    fn artifact_check_holds_the_acceptance_rules() {
+        let check = |rows: &[PopulationScaleRow], resume: &PopulationResume| {
+            check_artifact(&population_json(POPULATION_APP, 14, rows, resume), &[])
+        };
+        let (rows_ok, resume_ok) = rows();
+        check(&rows_ok, &resume_ok).expect("self-produced artifact accepted");
+
+        let mut starved = rows_ok.clone();
+        starved[0].bombs[0].outer_sessions = 99;
+        starved[0].bombs[0].fired_sessions = 15;
+        let text = population_json(POPULATION_APP, 14, &starved, &resume_ok);
+        validate_population_json(&text).expect("99 outer sessions is schema-valid");
+        let err = check(&starved, &resume_ok).expect_err("99 outer sessions rejected");
+        assert!(err.contains("only 99 outer-trigger sessions"), "{err}");
+
+        let mut broken_resume = resume_ok.clone();
+        broken_resume.identical = false;
+        let err = check(&rows_ok, &broken_resume).expect_err("diverged resume rejected");
+        assert!(err.contains("NOT bit-identical"), "{err}");
     }
 
     #[test]

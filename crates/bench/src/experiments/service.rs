@@ -1,7 +1,7 @@
 //! Protect-as-a-service smoke: drives `bombdroid_core::service` end to
 //! end with a fixed-seed job mix (duplicates included), exercises
 //! admission control, and exports the schema-versioned `service.json`
-//! artifact that `service_check` validates in CI.
+//! artifact that `artifact_check` holds to [`validate_service_json`] in CI.
 //!
 //! Everything in the artifact is deterministic: job outcomes depend only
 //! on `(app bytes, config, effective seed)`, the drain returns results in
@@ -262,6 +262,7 @@ mod tests {
         assert_eq!(r.shed, 1, "overflow probe shed exactly once");
         let text = service_json(&r);
         validate_service_json(&text).expect("self-produced artifact validates");
+        crate::artifact::check_artifact(&text, &[]).expect("artifact_check accepts it");
     }
 
     #[test]

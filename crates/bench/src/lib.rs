@@ -2,9 +2,10 @@
 //! evaluation (§8), regenerated.
 //!
 //! Each experiment is a pure function returning structured rows, consumed
-//! by the `repro` binary (which prints paper-style tables) and by the
-//! Criterion benches. Experiments take explicit budgets so tests can run
-//! scaled-down versions of the same code paths the full reproduction uses.
+//! by the `repro` binary (which prints paper-style tables). Experiments
+//! take explicit budgets so tests can run scaled-down versions of the same
+//! code paths the full reproduction uses. The `perf` binary ([`perf`])
+//! measures the hot paths and [`artifact`] checks what `repro` writes.
 //!
 //! | Function | Paper artefact |
 //! |---|---|
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod experiments;
 pub mod perf;
 pub mod print;

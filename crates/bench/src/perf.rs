@@ -1,10 +1,9 @@
 //! The `perf` harness: repeatable hot-path measurements with a
 //! machine-readable artifact.
 //!
-//! Unlike the Criterion-style benches under `benches/` (interactive,
-//! print-only), this module produces a structured [`BenchResult`] per
-//! benchmark and serializes the whole run as `BENCH_pipeline.json` so
-//! perf numbers accumulate across PRs and regressions are diffable:
+//! This module produces a structured [`BenchResult`] per benchmark and
+//! serializes the whole run as `BENCH_pipeline.json`, so perf numbers
+//! accumulate across changes and regressions are diffable:
 //!
 //! ```json
 //! {
@@ -288,6 +287,17 @@ impl CompareReport {
             .collect()
     }
 
+    /// Names of baseline benchmarks the candidate did not measure. A gate
+    /// over these rows fails on them: a renamed or deleted benchmark must
+    /// not drop out of the comparison unnoticed.
+    pub fn missing(&self) -> Vec<&str> {
+        self.rows
+            .iter()
+            .filter(|r| r.base_p50_ns.is_some() && r.cand_p50_ns.is_none())
+            .map(|r| r.name.as_str())
+            .collect()
+    }
+
     /// The human-readable delta table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -304,8 +314,9 @@ impl CompareReport {
                 Some(d) => format!("{d:+.1}%"),
                 None => "-".to_string(),
             };
-            let flag = match r.delta_pct() {
-                Some(d) if d > self.threshold_pct => "  REGRESSION",
+            let flag = match (r.delta_pct(), r.cand_p50_ns) {
+                (Some(d), _) if d > self.threshold_pct => "  REGRESSION",
+                (_, None) => "  MISSING",
                 _ => "",
             };
             out.push_str(&format!(
@@ -352,7 +363,8 @@ fn bench_medians(text: &str) -> Result<Vec<(String, u64)>, String> {
 /// baseline's order (candidate-only benchmarks are appended); a benchmark
 /// missing on either side gets a dash instead of a delta. A candidate
 /// median more than `threshold_pct` percent above the baseline counts as
-/// a regression.
+/// a regression, and a baseline benchmark absent from the candidate is
+/// listed by [`CompareReport::missing`].
 ///
 /// # Errors
 ///
@@ -504,6 +516,20 @@ mod tests {
         assert_eq!(gone.delta_pct(), None);
         let added = report.rows.iter().find(|r| r.name == "new/added").unwrap();
         assert_eq!(added.base_p50_ns, None);
+    }
+
+    #[test]
+    fn compare_lists_baseline_benchmarks_the_candidate_lost() {
+        let base = doc(&[("vm/kept", 100), ("vm/renamed", 10), ("obs/x", 5)]);
+        let cand = doc(&[("vm/kept", 100), ("vm/renamed_v2", 10), ("obs/x", 5)]);
+        let mut report = compare_bench_json(&base, &cand, 75.0).unwrap();
+        assert!(report.regressions().is_empty());
+        // vm/renamed_v2, present only in the candidate, is not listed.
+        assert_eq!(report.missing(), vec!["vm/renamed"]);
+        assert!(report.render().contains("MISSING"));
+        // A filter that leaves the lost line out has nothing missing.
+        report.rows.retain(|r| r.name.starts_with("obs/"));
+        assert!(report.missing().is_empty());
     }
 
     #[test]

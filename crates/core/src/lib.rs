@@ -79,8 +79,8 @@ pub mod sites;
 
 pub use config::{DetectionMethods, ProtectConfig, ResponseChoice};
 pub use fleet::{
-    derive_seed, env_threads, expect_all, run_fleet, run_fleet_windowed, run_indexed,
-    run_indexed_windowed, run_range_windowed, FleetConfig, FleetError, TaskCtx,
+    derive_seed, env_threads, expect_all, run_fleet, run_range_windowed, FleetConfig, FleetError,
+    TaskCtx,
 };
 pub use inner::InnerCond;
 pub use naive::NaiveProtector;

@@ -1,6 +1,6 @@
 //! Schema validation for `metrics.json` artifacts.
 //!
-//! CI runs this (via the `metrics_check` binary in `bombdroid-bench`)
+//! CI runs this (via the `artifact_check` binary in `bombdroid-bench`)
 //! against the artifact a `repro` smoke run produces, so a PR that breaks
 //! the artifact shape, regresses a counter to garbage, or bumps the schema
 //! without coordinating fails before merge.

@@ -49,7 +49,7 @@ fi
 # stop recording or break either exporter.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast table5
-run cargo run -q --release --offline -p bombdroid-bench --bin metrics_check -- \
+run cargo run -q --release --offline -p bombdroid-bench --bin artifact_check -- \
     target/repro_output/metrics.json \
     --flight target/repro_output/flight.json \
     fleet.tasks vm.instr_executed pipeline.apps_protected cache.requests
@@ -74,11 +74,11 @@ fi
 # no-bogus control app, replay-validate every reported bomb, and emit a
 # guided_resilience.json artifact matching its schema. The curves are
 # bit-identical for any BOMBDROID_THREADS value (pinned by the attacks
-# determinism suite); guided_check fails CI if the fuzzer or the exporter
-# silently breaks.
+# determinism suite); artifact_check fails CI if the fuzzer or the
+# exporter silently breaks.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast guided
-run cargo run -q --release --offline -p bombdroid-bench --bin guided_check -- \
+run cargo run -q --release --offline -p bombdroid-bench --bin artifact_check -- \
     target/repro_output/guided_resilience.json
 
 # Population-simulator smoke: a fast two-scale sweep (10^3 + 10^4 devices,
@@ -87,11 +87,11 @@ run cargo run -q --release --offline -p bombdroid-bench --bin guided_check -- \
 # memory bounded independent of device count, survive one mid-run
 # kill + checkpoint + resume cycle with a byte-identical report, and emit
 # a population.json artifact matching its schema. Results are bit-identical
-# for any BOMBDROID_THREADS value; population_check fails CI if the
+# for any BOMBDROID_THREADS value; artifact_check fails CI if the
 # simulator, the checkpoint codec, or the exporter silently breaks.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast population
-run cargo run -q --release --offline -p bombdroid-bench --bin population_check -- \
+run cargo run -q --release --offline -p bombdroid-bench --bin artifact_check -- \
     target/repro_output/population.json
 
 # Protect-as-a-service smoke: a fixed-seed job mix (four flagships, each
@@ -99,11 +99,11 @@ run cargo run -q --release --offline -p bombdroid-bench --bin population_check -
 # threads must single-flight every duplicate through the content-addressed
 # cache, shed the overflow with a typed error, keep results in submission
 # order, verify every signed package, and reproduce the parallel bytes in
-# a serial control run. service_check fails CI if the cache, admission
+# a serial control run. artifact_check fails CI if the cache, admission
 # control, or drain ordering silently breaks.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast service
-run cargo run -q --release --offline -p bombdroid-bench --bin service_check -- \
+run cargo run -q --release --offline -p bombdroid-bench --bin artifact_check -- \
     target/repro_output/service.json
 
 # Perf smoke: the hot-path harness must run end to end and emit a valid
@@ -119,17 +119,18 @@ run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
 #
 # Hard gate: the vm/ benchmarks (session boot, fork, event driving,
 # profiling) are the execution-engine contract this repo optimizes — a
-# regression there fails CI. --fast numbers on shared hardware are noisy,
-# so the gate uses a generous 75% threshold: it won't trip on jitter, only
-# on an engine that actually got slower.
+# regression there fails CI, and so does a vm/ line of the baseline that
+# the fresh run no longer measures. --fast numbers on shared hardware are
+# noisy, so the gate uses a generous 75% threshold: it won't trip on
+# jitter, only on an engine that actually got slower.
 run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
     --compare BENCH_pipeline.json target/perf_smoke.json \
     --threshold 75 --filter vm/
 
 # Hard gate: the pipeline/ benchmarks (protect, plan, arm) carry the
-# protect-path and protection-cache wins — a regression there fails CI.
-# Same generous threshold as the vm/ gate: jitter passes, real
-# regressions don't.
+# protect-path and protection-cache wins — a regression there, or a
+# missing pipeline/ line, fails CI. Same generous threshold as the vm/
+# gate: jitter passes, real regressions don't.
 run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
     --compare BENCH_pipeline.json target/perf_smoke.json \
     --threshold 75 --filter pipeline/

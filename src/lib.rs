@@ -40,8 +40,8 @@ pub use bombdroid_ssn as ssn;
 pub mod prelude {
     pub use bombdroid_apk::{package_app, repackage, ApkFile, AppMeta, DeveloperKey, StringsXml};
     pub use bombdroid_core::{
-        derive_seed, expect_all, run_fleet, run_fleet_windowed, run_indexed, run_indexed_windowed,
-        FleetConfig, ProtectConfig, ProtectedApp, Protector, TaskCtx,
+        derive_seed, expect_all, run_fleet, run_range_windowed, FleetConfig, ProtectConfig,
+        ProtectedApp, Protector, TaskCtx,
     };
     pub use bombdroid_runtime::{
         run_session, DeviceEnv, DeviceProfile, InstalledPackage, RandomEventSource, SessionPool,
