@@ -48,29 +48,25 @@ pub fn embed(payload: &[u8]) -> String {
 ///
 /// Returns `None` when the string is not a valid cover token (wrong prefix,
 /// unknown syllable, or a trailing half-byte) — which is also what happens
-/// when an attacker blindly rewrites the resource string.
+/// when an attacker blindly rewrites the resource string. Dashes may sit
+/// anywhere in the body; every other byte must belong to a syllable, so any
+/// non-ASCII text is rejected. The decoded bytes are the only allocation.
 pub fn extract(cover: &str) -> Option<Vec<u8>> {
-    let body = cover.strip_prefix(COVER_PREFIX)?;
-    let mut nibbles = Vec::new();
-    let compact: String = body.chars().filter(|c| *c != '-').collect();
-    let chars: Vec<char> = compact.chars().collect();
-    if !chars.len().is_multiple_of(2) {
-        return None;
+    let body = cover.strip_prefix(COVER_PREFIX)?.as_bytes();
+    let mut out = Vec::with_capacity(body.len() / 4);
+    let mut letters = body.iter().copied().filter(|&b| b != b'-');
+    let mut high = None;
+    while let Some(first) = letters.next() {
+        // A lone trailing letter has no syllable: `?` rejects it.
+        let pair = [first, letters.next()?];
+        let nibble = SYLLABLES.iter().position(|s| s.as_bytes() == pair)? as u8;
+        match high.take() {
+            None => high = Some(nibble),
+            Some(h) => out.push((h << 4) | nibble),
+        }
     }
-    for pair in chars.chunks_exact(2) {
-        let syl: String = pair.iter().collect();
-        let idx = SYLLABLES.iter().position(|s| **s == syl)?;
-        nibbles.push(idx as u8);
-    }
-    if nibbles.len() % 2 != 0 {
-        return None;
-    }
-    Some(
-        nibbles
-            .chunks_exact(2)
-            .map(|n| (n[0] << 4) | n[1])
-            .collect(),
-    )
+    // A trailing half-byte is as invalid as an unknown syllable.
+    high.is_none().then_some(out)
 }
 
 #[cfg(test)]
@@ -102,6 +98,77 @@ mod tests {
         assert_eq!(extract(&s), None);
         assert_eq!(extract("not-a-cover"), None);
         assert_eq!(extract("sid-xx"), None);
+    }
+
+    /// The char-based decoder this module used to ship, kept as the
+    /// oracle for the byte-level one.
+    fn extract_by_chars(cover: &str) -> Option<Vec<u8>> {
+        let body = cover.strip_prefix(COVER_PREFIX)?;
+        let mut nibbles = Vec::new();
+        let compact: String = body.chars().filter(|c| *c != '-').collect();
+        let chars: Vec<char> = compact.chars().collect();
+        if !chars.len().is_multiple_of(2) {
+            return None;
+        }
+        for pair in chars.chunks_exact(2) {
+            let syl: String = pair.iter().collect();
+            let idx = SYLLABLES.iter().position(|s| **s == syl)?;
+            nibbles.push(idx as u8);
+        }
+        if nibbles.len() % 2 != 0 {
+            return None;
+        }
+        Some(
+            nibbles
+                .chunks_exact(2)
+                .map(|n| (n[0] << 4) | n[1])
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn byte_decoder_matches_the_char_oracle() {
+        let mut covers: Vec<String> = (0..=40u8)
+            .map(|n| embed(&(0..n).map(|i| i.wrapping_mul(73)).collect::<Vec<_>>()))
+            .collect();
+        covers.extend(
+            [
+                "",
+                "sid-",
+                "sid",
+                "SID-baba",
+                "xid-baba",
+                "sid-ba",
+                "sid-bace-di",
+                "sid-bacedi",
+                "sid--ba-ce--",
+                "-sid-bace",
+                "sid-bacé",
+                "sid-baçe",
+                "sid-bacefoé",
+                "sid-ba\u{0}ce",
+                "sid-bäce",
+                "sid-🦀ce",
+                "sid-ba🦀",
+                "sid-babacezo-",
+                "sid-ab",
+                "sid-bacex",
+            ]
+            .map(String::from),
+        );
+        // Dashes moved, doubled or dropped, and every cover cut at every
+        // byte that is a char boundary.
+        let valid = embed(&[0xde, 0xad, 0xbe, 0xef]);
+        covers.push(valid.replace('-', ""));
+        covers.push(valid.replace('-', "--"));
+        covers.push(format!("{valid}-"));
+        covers.push(valid.replacen("ba", "b-a", 1));
+        for cut in 0..=valid.len() {
+            covers.push(valid[..cut].to_string());
+        }
+        for cover in &covers {
+            assert_eq!(extract(cover), extract_by_chars(cover), "{cover:?}");
+        }
     }
 
     #[test]

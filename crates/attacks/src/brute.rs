@@ -73,9 +73,11 @@ pub fn find_conditions(dex: &DexFile) -> Vec<ObfuscatedCondition> {
 /// single-char candidates are tried (the paper's *strong* grade).
 pub fn crack(condition: &ObfuscatedCondition, budget: u64) -> CrackResult {
     let mut tries = 0u64;
+    // One hasher per condition: each candidate is one SHA-1 compression.
+    let hasher = kdf::ConditionHasher::new(&condition.salt);
     let check = |v: &Value, tries: &mut u64| -> bool {
         *tries += 1;
-        kdf::condition_hash(&v.canonical_bytes(), &condition.salt)[..] == condition.hc[..]
+        v.with_canonical(|tag, body| hasher.hash(tag, body))[..] == condition.hc[..]
     };
     // Booleans (weak: 2 tries).
     for b in [false, true] {

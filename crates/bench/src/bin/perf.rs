@@ -9,10 +9,11 @@
 //! ```
 //!
 //! Default output is `BENCH_pipeline.json` in the current directory (run
-//! from the repo root to refresh the committed artifact). `--fast` is the
-//! CI smoke profile: it validates the plumbing end to end but its numbers
-//! are not comparison-grade. `--compare` prints the per-benchmark median
-//! deltas between two artifacts and exits nonzero if any benchmark
+//! from the repo root to refresh the committed artifact); a `--fast` or
+//! `--filter` run must name its `--out`, and exits 2 without it. `--fast`
+//! is the CI smoke profile: it validates the plumbing end to end but its
+//! numbers are not comparison-grade. `--compare` prints the per-benchmark
+//! median deltas between two artifacts and exits nonzero if any benchmark
 //! regressed past the threshold (default 10%) or if a baseline benchmark
 //! is missing from the candidate (a benchmark only the candidate has is
 //! informational); `--filter` restricts the comparison to benchmarks whose
@@ -75,7 +76,20 @@ fn main() {
     }
     let fast = args.iter().any(|a| a == "--fast");
     let filter = flag_value(&args, "--filter");
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_pipeline.json".to_string());
+    // The default path is the committed full-mode baseline: a fast or
+    // filtered run would overwrite it with a partial artifact.
+    let out = match flag_value(&args, "--out") {
+        Some(out) => out,
+        None if fast || filter.is_some() => {
+            eprintln!(
+                "usage: perf [--fast] [--filter SUBSTR] --out PATH\n\
+                 a --fast or --filter run needs --out: only a full, unfiltered \
+                 run may write the default BENCH_pipeline.json"
+            );
+            std::process::exit(2);
+        }
+        None => "BENCH_pipeline.json".to_string(),
+    };
     let (mode, config) = if fast {
         ("fast", PerfConfig::fast())
     } else {

@@ -734,6 +734,13 @@ fn brute(b: &Budgets) {
         bombdroid_attacks::brute::expected_seconds(32, 1e6),
         bombdroid_attacks::brute::expected_seconds(128, 1e6),
     );
+    // The measured rate is wall clock: stderr and metrics.json only, so
+    // stdout stays deterministic.
+    let rate = ex::measure_hash_rate(b.brute_budget);
+    eprintln!(
+        "brute: measured {:.1}M condition hashes/s on one thread (the cost line assumes 1M)",
+        rate / 1e6
+    );
 }
 
 fn ablation() {

@@ -35,7 +35,7 @@ pub mod table5;
 
 pub use ablation::{ablation, AblationReport};
 pub use analysts::{analysts, analysts_with, AnalystRow};
-pub use brute::{brute_force, brute_force_with, BruteRow};
+pub use brute::{brute_force, brute_force_with, measure_hash_rate, BruteRow};
 pub use codesize::{code_size, code_size_with, CodeSizeRow};
 pub use falsepos::{false_positives, false_positives_with, FalsePositiveRow};
 pub use fig3::{fig3, Fig3Data};

@@ -9,9 +9,11 @@
 //! on real, standard algorithms:
 //!
 //! * [`sha1`] / [`sha256`] — FIPS 180-4 hash functions (test vectors
-//!   included in the test suite).
+//!   included in the test suite). SHA-1 compresses on the x86 SHA
+//!   extensions when the CPU has them.
 //! * [`aes`] — FIPS 197 AES-128 block cipher and a CTR-mode keystream.
-//! * [`kdf`] — the paper's `Hash(c|S)` 128-bit key derivation.
+//! * [`kdf`] — the paper's `Hash(c|S)` 128-bit key derivation, and the
+//!   per-condition hasher that checks a short value in one compression.
 //! * [`blob`] — encrypt-then-MAC sealed blobs used to store encrypted bomb
 //!   payloads inside app bytecode; opening with the wrong key fails
 //!   (models "any attempts that try to decrypt the code with an incorrect
@@ -34,7 +36,10 @@
 //! assert!(blob::open(&wrong, &sealed).is_err());
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the call into the SHA-NI rounds after the CPU
+// check in `sha1::compress` is the workspace's one `unsafe` block, and it
+// carries the crate's only `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

@@ -34,31 +34,39 @@ impl Value {
         Value::Bytes(Arc::from(b.as_ref()))
     }
 
+    /// Canonical-encoding tag of [`Value::Null`].
+    pub const TAG_NULL: u8 = 0x00;
+    /// Canonical-encoding tag of [`Value::Bool`].
+    pub const TAG_BOOL: u8 = 0x01;
+    /// Canonical-encoding tag of [`Value::Int`].
+    pub const TAG_INT: u8 = 0x02;
+    /// Canonical-encoding tag of [`Value::Str`].
+    pub const TAG_STR: u8 = 0x03;
+    /// Canonical-encoding tag of [`Value::Bytes`].
+    pub const TAG_BYTES: u8 = 0x04;
+
     /// Canonical byte encoding used for hashing (`Hash(X|salt)`) and key
     /// derivation (`KDF(c|salt)`). Tagged so different types with identical
     /// raw bytes never collide.
     pub fn canonical_bytes(&self) -> Vec<u8> {
+        self.with_canonical(|tag, body| {
+            let mut v = Vec::with_capacity(1 + body.len());
+            v.push(tag);
+            v.extend_from_slice(body);
+            v
+        })
+    }
+
+    /// Calls `f` with the canonical encoding split into its tag and body,
+    /// borrowed or on the stack: `canonical_bytes() == [tag] ++ body`. The
+    /// hashers take this form, so a check allocates nothing.
+    pub fn with_canonical<R>(&self, f: impl FnOnce(u8, &[u8]) -> R) -> R {
         match self {
-            Value::Null => vec![0x00],
-            Value::Bool(b) => vec![0x01, *b as u8],
-            Value::Int(i) => {
-                let mut v = Vec::with_capacity(9);
-                v.push(0x02);
-                v.extend_from_slice(&i.to_be_bytes());
-                v
-            }
-            Value::Str(s) => {
-                let mut v = Vec::with_capacity(1 + s.len());
-                v.push(0x03);
-                v.extend_from_slice(s.as_bytes());
-                v
-            }
-            Value::Bytes(b) => {
-                let mut v = Vec::with_capacity(1 + b.len());
-                v.push(0x04);
-                v.extend_from_slice(b);
-                v
-            }
+            Value::Null => f(Self::TAG_NULL, &[]),
+            Value::Bool(b) => f(Self::TAG_BOOL, &[*b as u8]),
+            Value::Int(i) => f(Self::TAG_INT, &i.to_be_bytes()),
+            Value::Str(s) => f(Self::TAG_STR, s.as_bytes()),
+            Value::Bytes(b) => f(Self::TAG_BYTES, b),
         }
     }
 
@@ -216,6 +224,16 @@ mod tests {
             Value::str("a").canonical_bytes(),
             Value::bytes(b"a").canonical_bytes()
         );
+        // The encoding itself is wire format: every condition hash and
+        // bomb key in a protected app depends on it.
+        assert_eq!(Value::Null.canonical_bytes(), [0]);
+        assert_eq!(Value::Bool(true).canonical_bytes(), [1, 1]);
+        assert_eq!(
+            Value::Int(0x0102_0304_0506_0708).canonical_bytes(),
+            [2, 1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(Value::str("hi").canonical_bytes(), [3, b'h', b'i']);
+        assert_eq!(Value::bytes([9]).canonical_bytes(), [4, 9]);
     }
 
     #[test]

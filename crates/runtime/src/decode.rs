@@ -35,7 +35,7 @@
 
 use crate::package::InstalledPackage;
 use crate::value::RtValue;
-use bombdroid_crypto::Key128;
+use bombdroid_crypto::{kdf::ConditionHasher, Key128};
 use bombdroid_dex::{
     BinOp, CondOp, HostApi, Instr, MethodRef, Reg, RegOrConst, StrOp, UnOp, Value,
 };
@@ -206,7 +206,7 @@ pub(crate) enum DecodedOp {
     Hash {
         dst: usize,
         src: usize,
-        salt: Arc<[u8]>,
+        hasher: Arc<ConditionHasher>,
     },
     DecryptExec {
         blob: u32,
@@ -228,7 +228,7 @@ pub(crate) enum DecodedOp {
     HashIf {
         dst: usize,
         src: usize,
-        salt: Arc<[u8]>,
+        hasher: Arc<ConditionHasher>,
         cond: CondOp,
         rhs: RtValue,
         target: usize,
@@ -619,7 +619,7 @@ fn try_fuse(max: &mut usize, first: &Instr, second: &Instr, if_pc: usize) -> Opt
         ) if lhs == dst => Some(DecodedOp::HashIf {
             dst: slot(max, *dst),
             src: slot(max, *src),
-            salt: Arc::from(salt.as_slice()),
+            hasher: Arc::new(ConditionHasher::new(salt)),
             cond: *cond,
             rhs: v.clone().into(),
             target: *target,
@@ -801,7 +801,7 @@ fn lower(
         Instr::Hash { dst, src, salt } => DecodedOp::Hash {
             dst: slot(max, *dst),
             src: slot(max, *src),
-            salt: Arc::from(salt.as_slice()),
+            hasher: Arc::new(ConditionHasher::new(salt)),
         },
         Instr::DecryptExec { blob, key_src } => DecodedOp::DecryptExec {
             blob: blob.0,

@@ -10,7 +10,7 @@ use crate::decode::{
 };
 use crate::value::RtValue;
 use crate::vm::{Fault, Flow, Vm, FRAME_POOL_CAP};
-use bombdroid_crypto::kdf;
+use bombdroid_crypto::kdf::ConditionHasher;
 use bombdroid_dex::{BlobId, CondOp, MethodRef, UnOp};
 use std::sync::Arc;
 
@@ -126,6 +126,16 @@ impl Vm {
         if outer {
             self.telemetry.outer_satisfied.insert((mref.clone(), pc));
         }
+    }
+
+    /// `Hash(v|salt)` of a register as a digest value. The register is
+    /// hashed in place; the digest's `Arc` is the only allocation.
+    #[inline]
+    fn condition_hash(hasher: &ConditionHasher, v: &RtValue) -> Result<RtValue, Fault> {
+        let digest = v
+            .with_canonical(|tag, body| hasher.hash(tag, body))
+            .ok_or(Fault::TypeError("hash of reference value"))?;
+        Ok(RtValue::Bytes(Arc::from(&digest[..])))
     }
 
     #[inline]
@@ -456,20 +466,15 @@ impl Vm {
                     };
                     regs[*dst] = RtValue::Int(n as i64);
                 }
-                DecodedOp::Hash { dst, src, salt } => {
-                    // Hashing ≤ 16 input bytes is a handful of SHA-1
-                    // compressions — cheap next to interpreter dispatch.
+                DecodedOp::Hash { dst, src, hasher } => {
+                    // Hashing a short value is one SHA-1 compression —
+                    // cheap next to interpreter dispatch.
                     self.charge(4)?;
-                    let cb = regs[*src]
-                        .canonical_bytes()
-                        .ok_or(Fault::TypeError("hash of reference value"))?;
-                    let digest = kdf::condition_hash(&cb, salt);
-                    regs[*dst] = RtValue::Bytes(Arc::from(&digest[..]));
+                    regs[*dst] = Self::condition_hash(hasher, &regs[*src])?;
                 }
                 DecodedOp::DecryptExec { blob, key_src } => {
-                    let key_val = regs[*key_src].clone();
                     let loaded = !self.blob_cache.contains_key(blob);
-                    let fbody = self.fragment_for(BlobId(*blob), key_val)?;
+                    let fbody = self.fragment_for(BlobId(*blob), &regs[*key_src])?;
                     // The decode counters are charged to every VM that
                     // loads the fragment, not to the session that lowered
                     // it first: that one depends on scheduling and on what
@@ -515,7 +520,7 @@ impl Vm {
                 DecodedOp::HashIf {
                     dst,
                     src,
-                    salt,
+                    hasher,
                     cond,
                     rhs,
                     target,
@@ -524,11 +529,7 @@ impl Vm {
                     self.op_mix.hash_if += 1;
                     // Hash micro-op.
                     self.charge(4)?;
-                    let cb = regs[*src]
-                        .canonical_bytes()
-                        .ok_or(Fault::TypeError("hash of reference value"))?;
-                    let digest = kdf::condition_hash(&cb, salt);
-                    regs[*dst] = RtValue::Bytes(Arc::from(&digest[..]));
+                    regs[*dst] = Self::condition_hash(hasher, &regs[*src])?;
                     // If micro-op on the written result.
                     self.charge(1)?;
                     if self.cond_branch(*cond, &regs[*dst], (rhs, true), host, *src_pc)? {

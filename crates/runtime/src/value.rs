@@ -37,9 +37,18 @@ impl RtValue {
         }
     }
 
-    /// Canonical bytes for hashing/KDF; `None` for heap references.
-    pub fn canonical_bytes(&self) -> Option<Vec<u8>> {
-        self.to_const().map(|v| v.canonical_bytes())
+    /// [`Value::with_canonical`] on the register itself, without cloning
+    /// it into a [`Value`]; `None` for heap references.
+    #[inline]
+    pub fn with_canonical<R>(&self, f: impl FnOnce(u8, &[u8]) -> R) -> Option<R> {
+        Some(match self {
+            RtValue::Null => f(Value::TAG_NULL, &[]),
+            RtValue::Bool(b) => f(Value::TAG_BOOL, &[*b as u8]),
+            RtValue::Int(i) => f(Value::TAG_INT, &i.to_be_bytes()),
+            RtValue::Str(s) => f(Value::TAG_STR, s.as_bytes()),
+            RtValue::Bytes(b) => f(Value::TAG_BYTES, b),
+            RtValue::Obj(_) | RtValue::Arr(_) => return None,
+        })
     }
 
     /// Integer view (booleans coerce, as in Dalvik).
@@ -134,7 +143,27 @@ mod tests {
             assert_eq!(rt.to_const(), Some(v));
         }
         assert_eq!(RtValue::Obj(3).to_const(), None);
-        assert_eq!(RtValue::Arr(3).canonical_bytes(), None);
+        assert_eq!(RtValue::Arr(3).with_canonical(|_, _| ()), None);
+    }
+
+    #[test]
+    fn canonical_split_matches_the_constant_encoding() {
+        let concat = |tag: u8, body: &[u8]| [&[tag], body].concat();
+        for v in [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-9),
+            Value::str(""),
+            Value::str("häuser"),
+            Value::bytes([]),
+            Value::bytes([1, 2, 3]),
+        ] {
+            let rt = RtValue::from(v.clone());
+            assert_eq!(rt.with_canonical(concat), Some(v.canonical_bytes()));
+            assert_eq!(v.with_canonical(concat), v.canonical_bytes());
+        }
     }
 
     #[test]

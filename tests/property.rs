@@ -20,6 +20,19 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Values of every kind whose canonical bodies reach 80 bytes, so with
+/// salts up to 40 bytes the hashed message crosses the 55-byte limit of
+/// one SHA-1 block.
+fn arb_hashed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        "[a-z0-9 ]{0,80}".prop_map(Value::str),
+        proptest::collection::vec(any::<u8>(), 0..81).prop_map(Value::bytes),
+    ]
+}
+
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u16..32).prop_map(Reg)
 }
@@ -124,6 +137,26 @@ proptest! {
         if salt_a != salt_b {
             prop_assert_ne!(kdf::derive_key(&c, &salt_a), kdf::derive_key(&c, &salt_b));
         }
+    }
+
+    /// The per-condition hasher and the tagged key derivation take a
+    /// value's tag and body without `canonical_bytes` and equal the
+    /// definitions on the assembled bytes, for every value kind.
+    #[test]
+    fn one_block_hashing_matches_the_definition(
+        v in arb_hashed_value(),
+        salt in proptest::collection::vec(any::<u8>(), 0..41),
+    ) {
+        let c = v.canonical_bytes();
+        let hasher = kdf::ConditionHasher::new(&salt);
+        prop_assert_eq!(
+            v.with_canonical(|tag, body| hasher.hash(tag, body)),
+            kdf::condition_hash(&c, &salt)
+        );
+        prop_assert_eq!(
+            v.with_canonical(|tag, body| kdf::derive_key_tagged(tag, body, &salt)),
+            kdf::derive_key(&c, &salt)
+        );
     }
 
     #[test]
