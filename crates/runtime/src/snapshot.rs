@@ -1,11 +1,9 @@
 //! Copy-on-write session snapshots: capture a booted (and possibly warmed)
 //! VM's state and mint new sessions from it in O(changed-state).
 //!
-//! The VM's heap (`statics`, `objects`, `arrays`) is shared with the
-//! snapshot, so a capture is a handful of refcount bumps; a forked session
-//! copies only what it actually touches. Objects and arrays go through
-//! `Arc::make_mut`; statics are copied once, at a session's first write,
-//! and written with plain stores after that.
+//! The VM's heap (`statics`, `objects`, `arrays`) lives behind [`Arc`]s, so
+//! a snapshot is a handful of refcount bumps; a forked session mutates its
+//! heap through `Arc::make_mut`, cloning only what it actually touches.
 //! This is the sfuzz-style reset primitive: boot once, run static init or
 //! warm-up events once, then fork thousands of independent sessions — the
 //! market-scale fleet simulator and coverage-guided attackers both sit on
@@ -21,7 +19,7 @@ use crate::env::DeviceEnv;
 use crate::package::InstalledPackage;
 use crate::telemetry::Telemetry;
 use crate::value::RtValue;
-use crate::vm::{CovEdge, OpMix, Statics, Vm, VmOptions};
+use crate::vm::{CovEdge, OpMix, Vm, VmOptions};
 use bombdroid_dex::Value;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -54,10 +52,9 @@ pub struct VmSnapshot {
 }
 
 impl Vm {
-    /// Captures the complete session state: heap (by `Arc`, O(1), except
-    /// that statics this VM owns are copied), telemetry and the profile
-    /// tables, virtual clock, RNG position, and the decrypted-fragment
-    /// cache.
+    /// Captures the complete session state: heap (by `Arc`, O(1)),
+    /// telemetry and the profile tables, virtual clock, RNG position, and
+    /// the decrypted-fragment cache.
     pub fn snapshot(&self) -> VmSnapshot {
         if bombdroid_obs::enabled() {
             bombdroid_obs::counter_add("vm.snapshot.captures", 1);
@@ -67,7 +64,7 @@ impl Vm {
             env: self.env.clone(),
             opts: self.opts.clone(),
             rng: self.rng.clone(),
-            statics: self.statics.share(),
+            statics: Arc::clone(&self.statics),
             objects: Arc::clone(&self.objects),
             arrays: Arc::clone(&self.arrays),
             heap_cells: self.heap_cells,
@@ -105,7 +102,7 @@ impl VmSnapshot {
             env: self.env.clone(),
             opts: self.opts.clone(),
             rng: self.rng.clone(),
-            statics: Statics::Shared(Arc::clone(&self.statics)),
+            statics: Arc::clone(&self.statics),
             objects: Arc::clone(&self.objects),
             arrays: Arc::clone(&self.arrays),
             heap_cells: self.heap_cells,
@@ -140,7 +137,7 @@ impl VmSnapshot {
             env,
             opts: self.opts.clone(),
             rng: StdRng::seed_from_u64(seed),
-            statics: Statics::Shared(Arc::clone(&self.statics)),
+            statics: Arc::clone(&self.statics),
             objects: Arc::clone(&self.objects),
             arrays: Arc::clone(&self.arrays),
             heap_cells: self.heap_cells,

@@ -204,59 +204,17 @@ pub(crate) struct OpMix {
     pub(crate) decode_body_fetches: u64,
 }
 
-/// A VM's static fields, indexed by the slots of the package's decoded
-/// program ([`DecodedProgram::field_slot`]); `None` marks a static that was
-/// never written, which reads as `Int(0)` and is left out of
-/// [`Vm::statics_snapshot`] and untouched by `NullOutField`.
-///
-/// A fork or resume shares its snapshot's vector until its first write
-/// copies it; from then on a write is a plain store. `Arc::make_mut` would
-/// put an atomic check on every `PutStatic`, and cloning the vector at
-/// every fork would make forks of a warmed snapshot pay for statics they
-/// may never write.
-#[derive(Debug)]
-pub(crate) enum Statics {
-    /// Shared with a snapshot; copied before the first write.
-    Shared(Arc<Vec<Option<RtValue>>>),
-    /// This VM's own.
-    Owned(Vec<Option<RtValue>>),
-}
-
-impl Statics {
-    pub(crate) fn slots(&self) -> &[Option<RtValue>] {
-        match self {
-            Statics::Shared(v) => v,
-            Statics::Owned(v) => v,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn slots_mut(&mut self) -> &mut Vec<Option<RtValue>> {
-        if let Statics::Shared(v) = self {
-            *self = Statics::Owned(v.as_ref().clone());
-        }
-        match self {
-            Statics::Owned(v) => v,
-            Statics::Shared(_) => unreachable!("made owned above"),
-        }
-    }
-
-    /// The vector to capture in a snapshot.
-    pub(crate) fn share(&self) -> Arc<Vec<Option<RtValue>>> {
-        match self {
-            Statics::Shared(v) => Arc::clone(v),
-            Statics::Owned(v) => Arc::new(v.clone()),
-        }
-    }
-}
-
 /// The virtual machine for one app process on one device.
 ///
-/// The object and array heaps live behind [`Arc`]s with copy-on-write
-/// mutation, so [`Vm::snapshot`] and [`Vm::fork`] capture and resume
-/// sessions without deep-copying them; a VM that never forks pays only an
-/// uncontended refcount check per mutation. Statics are [`Statics`]:
-/// shared with the snapshot until the first write, plain stores after it.
+/// Heap state (`statics`, `objects`, `arrays`) lives behind [`Arc`]s with
+/// copy-on-write mutation, so [`Vm::snapshot`] and [`Vm::fork`] capture and
+/// resume sessions in O(changed-state) instead of deep-copying; a VM that
+/// never forks pays only an uncontended refcount check per mutation.
+///
+/// Statics are indexed by the slots of the package's decoded program
+/// ([`DecodedProgram::field_slot`]); `None` marks a static that was never
+/// written, which reads as `Int(0)` and is left out of
+/// [`Vm::statics_snapshot`] and untouched by `NullOutField`.
 #[derive(Debug)]
 pub struct Vm {
     /// Installed package being executed. Shared: booting a second device
@@ -266,7 +224,7 @@ pub struct Vm {
     pub env: DeviceEnv,
     pub(crate) opts: VmOptions,
     pub(crate) rng: StdRng,
-    pub(crate) statics: Statics,
+    pub(crate) statics: Arc<Vec<Option<RtValue>>>,
     pub(crate) objects: Arc<Vec<BTreeMap<Arc<str>, RtValue>>>,
     pub(crate) arrays: Arc<Vec<Vec<RtValue>>>,
     /// Array slots plus objects allocated so far, against
@@ -346,7 +304,7 @@ impl Vm {
             env,
             opts,
             rng: StdRng::seed_from_u64(seed),
-            statics: Statics::Owned(Vec::new()),
+            statics: Arc::new(Vec::new()),
             objects: Arc::new(Vec::new()),
             arrays: Arc::new(Vec::new()),
             heap_cells: 0,
@@ -539,7 +497,6 @@ impl Vm {
         let keys = self.pkg.decoded_program().field_keys();
         let mut snap: Vec<(String, String)> = self
             .statics
-            .slots()
             .iter()
             .zip(&keys)
             .filter_map(|(v, k)| v.as_ref().map(|v| (k.to_string(), v.to_string())))
@@ -658,7 +615,7 @@ impl Vm {
     /// default initialization of numeric static fields.
     #[inline]
     pub(crate) fn get_static(&self, slot: usize) -> RtValue {
-        match self.statics.slots().get(slot) {
+        match self.statics.get(slot) {
             Some(Some(v)) => v.clone(),
             _ => RtValue::Int(0),
         }
@@ -707,7 +664,7 @@ impl Vm {
     /// Writes static `slot`.
     #[inline]
     pub(crate) fn put_static(&mut self, slot: usize, v: RtValue) {
-        let statics = self.statics.slots_mut();
+        let statics = Arc::make_mut(&mut self.statics);
         if statics.len() <= slot {
             statics.resize(slot + 1, None);
         }
@@ -1079,7 +1036,7 @@ impl Vm {
                 Err(Fault::Frozen)
             }
             HostApi::NullOutField => {
-                for v in self.statics.slots_mut().iter_mut().flatten() {
+                for v in Arc::make_mut(&mut self.statics).iter_mut().flatten() {
                     *v = RtValue::Null;
                 }
                 let at = self.clock_ms;
@@ -1112,20 +1069,6 @@ mod tests {
     use bombdroid_dex::{Class, DexFile, EncryptedBlob, EntryPoint, MethodBuilder, ParamDomain};
 
     const SECRET: i64 = 0x5EC;
-
-    #[test]
-    fn statics_copy_out_of_a_shared_snapshot_on_first_write() {
-        let shared = Arc::new(vec![Some(RtValue::Int(1)), None]);
-        let mut statics = Statics::Shared(Arc::clone(&shared));
-        assert!(Arc::ptr_eq(&statics.share(), &shared), "captures share");
-        statics.slots_mut()[1] = Some(RtValue::Int(2));
-        assert!(matches!(statics, Statics::Owned(_)));
-        assert_eq!(shared[1], None, "the snapshot's vector is untouched");
-        assert_eq!(
-            statics.slots(),
-            [Some(RtValue::Int(1)), Some(RtValue::Int(2))]
-        );
-    }
 
     /// An app whose only handler decrypts and runs blob 0 with its
     /// argument as the key source; `SECRET` opens it.
