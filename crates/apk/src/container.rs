@@ -96,8 +96,8 @@ pub struct ApkFile {
 /// original APK once per protect pass. Nothing in the workspace mutates a
 /// `DexFile` through its `Arc` (mutation always clones out first, yielding
 /// a fresh allocation), so identity implies identical bytes; the stored
-/// [`Weak`] guards against address reuse exactly like the runtime's
-/// decoded-program registry.
+/// [`Weak`] guards against address reuse exactly like the core's site-scan
+/// registry.
 static DEX_DIGESTS: Mutex<Vec<(Weak<DexFile>, Digest256, usize)>> = Mutex::new(Vec::new());
 
 /// Most dexes the cache indexes. When full, the oldest entry goes: a

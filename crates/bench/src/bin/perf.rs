@@ -516,7 +516,7 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
             }));
         }
         if wanted("vm/profile_2k_events") {
-            // The protect prologue's dominant stage: install + boot + 2 000
+            // The protect pass's dominant stage: install + boot + 2 000
             // random events. Sensitive to per-boot dex copies. Measured
             // with recording off whatever BOMBDROID_OBS says: it is also
             // the off side of obs/profile_2k_full.
@@ -615,7 +615,7 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
                 }
             }));
         }
-        // The full side of the off-vs-full pair on the protect prologue's
+        // The full side of the off-vs-full pair on the protect pass's
         // dominant stage; vm/profile_2k_events is the off side. Full
         // recording — spans, op-mix counters, flight notes — must stay
         // within a few percent of off.

@@ -33,57 +33,6 @@ fn fig5_series_identical_across_thread_counts() {
     assert_eq!(one, run(8), "8 workers changed Fig. 5");
 }
 
-/// The protection pipeline's own fan-out (the two-phase `protect`) must be
-/// wire-invisible: for every flagship, the protected dex bytes, the
-/// steganographic `strings.xml`, and the full report must be bit-identical
-/// whether the per-method arm work ran serially or on 2 or 8 workers.
-#[test]
-fn protect_output_identical_across_thread_counts() {
-    use bombdroid_core::Protector;
-    use bombdroid_dex::wire;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    let (dev, _) = bombdroid_bench::fixed_keys();
-    let config = ProtectConfig::fast_profile();
-    for (i, app) in ex::flagships().iter().enumerate() {
-        let apk = app.apk(&dev);
-        let run = |threads: usize| {
-            let protector = Protector::new(config.clone()).with_threads(threads);
-            let mut rng = StdRng::seed_from_u64(0x7AB0 + i as u64);
-            let protected = protector.protect(&apk, &mut rng).expect("protect succeeds");
-            (
-                wire::encode_dex(&protected.dex),
-                protected.strings.to_bytes(),
-                format!("{:?}", protected.report),
-            )
-        };
-        let serial = run(1);
-        assert!(
-            serial.2.contains("BombInfo"),
-            "{}: flagship must carry bombs",
-            app.name
-        );
-        for threads in [2, 8] {
-            let parallel = run(threads);
-            assert_eq!(
-                serial.0, parallel.0,
-                "{}: {threads} workers changed the protected dex bytes",
-                app.name
-            );
-            assert_eq!(
-                serial.1, parallel.1,
-                "{}: {threads} workers changed strings.xml",
-                app.name
-            );
-            assert_eq!(
-                serial.2, parallel.2,
-                "{}: {threads} workers changed the protect report",
-                app.name
-            );
-        }
-    }
-}
-
 /// The observability layer inherits the fleet's determinism: the merged
 /// recorder's deterministic view (counters, gauges, histograms, timing
 /// *call counts* — everything except wall-clock nanoseconds) must be

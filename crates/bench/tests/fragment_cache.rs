@@ -1,5 +1,5 @@
 //! The decrypted-fragment cache's contract. Every decoded program (one per
-//! `Arc<DexFile>`) caches the fragments its VMs opened, keyed by
+//! installed package) caches the fragments its VMs opened, keyed by
 //! (blob id, derived key). The cache must be *semantically invisible*:
 //! per-VM telemetry and cost charging identical on a cold and a warm
 //! program, per-device failure accounting intact, and no entry ever served

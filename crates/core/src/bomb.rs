@@ -143,10 +143,8 @@ pub struct SealedBlobs {
 }
 
 impl SealedBlobs {
-    /// Creates an empty table whose blob ids start at `base`. Serial
-    /// callers arming straight into a dex pass `0`; the parallel protect
-    /// pass arms each method under a marked base and relocates the ids when
-    /// merging (see `pipeline`).
+    /// Creates an empty table whose blob ids start at `base`: the number
+    /// of blobs the dex being armed already carries.
     pub fn new(base: u32) -> Self {
         SealedBlobs {
             base,

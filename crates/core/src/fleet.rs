@@ -105,7 +105,7 @@ impl FleetConfig {
 pub fn env_threads() -> Option<usize> {
     std::env::var("BOMBDROID_THREADS")
         .ok()
-        .and_then(|s| s.parse().ok())
+        .and_then(|s| s.trim().parse().ok())
 }
 
 /// SplitMix64 finalizer: mixes `base` and `index` into an independent
@@ -163,38 +163,6 @@ impl<E: fmt::Display> fmt::Display for FleetError<E> {
 }
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for FleetError<E> {}
-
-thread_local! {
-    static IN_FLEET_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Whether the current thread is executing inside a fleet task ([`run_fleet`]
-/// or [`run_map`]). Nested parallel stages (e.g. a parallel protect inside a
-/// fleet experiment) consult this to fall back to serial execution instead of
-/// oversubscribing the machine — their output is thread-count-independent, so
-/// the fallback is invisible.
-pub fn in_worker() -> bool {
-    IN_FLEET_WORKER.with(|f| f.get())
-}
-
-/// RAII guard marking the current thread as a fleet worker for its lifetime.
-struct WorkerGuard {
-    prev: bool,
-}
-
-impl WorkerGuard {
-    fn enter() -> Self {
-        let prev = IN_FLEET_WORKER.with(|f| f.replace(true));
-        WorkerGuard { prev }
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_FLEET_WORKER.with(|f| f.set(prev));
-    }
-}
 
 fn elapsed_ns(since: &Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -344,7 +312,6 @@ where
     let fleet_start = Instant::now();
 
     let run_one = |index: usize| {
-        let _guard = WorkerGuard::enter();
         let task = task_slots[index]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -438,10 +405,10 @@ where
 /// workers and returns the results in input order, regardless of scheduling.
 ///
 /// This is [`run_fleet`] without the seed/obs/panic-isolation machinery —
-/// for compute fan-out whose tasks carry their own pre-drawn state (the
-/// protect pipeline's per-method arming). With `threads <= 1` (or a single
-/// task) everything runs inline on the calling thread; a panicking task
-/// propagates to the caller either way.
+/// for compute fan-out whose tasks carry everything they need (the protect
+/// service's drain, whose jobs derive their seeds from their own inputs).
+/// With `threads <= 1` (or a single task) everything runs inline on the
+/// calling thread; a panicking task propagates to the caller either way.
 pub fn run_map<T, R, F>(threads: usize, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -457,22 +424,19 @@ where
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let result_slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let worker = || {
-        let _guard = WorkerGuard::enter();
-        loop {
-            let index = cursor.fetch_add(1, Ordering::Relaxed);
-            if index >= n {
-                break;
-            }
-            let task = task_slots[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("map task slot claimed twice");
-            *result_slots[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(f(task));
+    let worker = || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= n {
+            break;
         }
+        let task = task_slots[index]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .expect("map task slot claimed twice");
+        *result_slots[index]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Some(f(task));
     };
     crossbeam::scope(|s| {
         for _ in 0..workers {

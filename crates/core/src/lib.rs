@@ -89,6 +89,6 @@ pub use pipeline::{ProtectError, ProtectedApp, Protector};
 pub use profiling::{profile_app, ProfileResult};
 pub use report::{BombInfo, BombKind, ProtectReport};
 pub use service::{
-    config_fingerprint, shared_protection_cache, AdmissionError, JobOutcome, JobTicket, ProtectJob,
-    ProtectService, ProtectionCache, SeedPolicy,
+    config_fingerprint, AdmissionError, JobOutcome, JobTicket, ProtectJob, ProtectService,
+    ProtectionCache, SeedPolicy,
 };

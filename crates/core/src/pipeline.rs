@@ -6,7 +6,6 @@
 
 use crate::bomb::{arm_artificial, arm_existing, PayloadSpec, SealedBlobs};
 use crate::config::{ProtectConfig, ResponseChoice};
-use crate::fleet;
 use crate::inner;
 use crate::payload::DetectionKind;
 use crate::profiling::profile_app;
@@ -17,7 +16,7 @@ use bombdroid_apk::container::entry;
 use bombdroid_apk::{
     package_shared, stego, ApkFile, AppMeta, DeveloperKey, StringsXml, VerifyError,
 };
-use bombdroid_dex::{wire, DexFile, EncryptedBlob, Instr, Method, MethodRef, Value};
+use bombdroid_dex::{wire, DexFile, MethodRef, Value};
 use bombdroid_obs as obs;
 use rand::{rngs::StdRng, Rng};
 use std::collections::{BTreeMap, HashSet};
@@ -96,21 +95,6 @@ impl ProtectedApp {
     }
 }
 
-/// Bit marking a blob id as *local to a per-method arming task*: the merge
-/// pass relocates marked ids to their final position in the dex blob table
-/// and leaves unmarked ids (pre-existing blobs) untouched. Real blob counts
-/// are nowhere near 2³¹, so the bit is unambiguous.
-const LOCAL_BLOB_MARK: u32 = 1 << 31;
-
-/// One pre-drawn instrumentation action: everything RNG-dependent (salt,
-/// marker, payload spec) is fixed by the serial plan prologue, so arming is
-/// pure computation that can run on any thread.
-struct PreparedAction {
-    action: Action,
-    salt: Vec<u8>,
-    spec: PayloadSpec,
-}
-
 enum Action {
     Existing(PlannedExisting),
     Bogus(PlannedExisting),
@@ -124,143 +108,23 @@ impl Action {
             Action::Artificial(p) => p.at,
         }
     }
-    fn method(&self) -> &MethodRef {
-        match self {
-            Action::Existing(p) | Action::Bogus(p) => &p.site.method,
-            Action::Artificial(p) => &p.method,
-        }
-    }
-}
-
-/// Result of arming one method: its sealed blobs — ids carry
-/// [`LOCAL_BLOB_MARK`] — the bomb records, and how many sites were skipped.
-struct MethodOutcome {
-    class_idx: usize,
-    method_idx: usize,
-    blobs: Vec<EncryptedBlob>,
-    bombs: Vec<BombInfo>,
-    skipped: usize,
-}
-
-/// Arms all prepared actions of one method into a local blob vector. Pure:
-/// consumes only pre-drawn material, so the result is independent of which
-/// thread runs it.
-fn arm_method(
-    weave_original: bool,
-    class_idx: usize,
-    method_idx: usize,
-    method: &mut Method,
-    prepared: Vec<PreparedAction>,
-) -> MethodOutcome {
-    let mref = method.method_ref();
-    let mut sealed = SealedBlobs::new(LOCAL_BLOB_MARK);
-    let mut bombs = Vec::new();
-    let mut skipped = 0usize;
-    for PreparedAction { action, salt, spec } in prepared {
-        debug_assert_eq!(action.method(), &mref);
-        match action {
-            Action::Existing(p) => {
-                match arm_existing(method, &mut sealed, &p, &spec, &salt, weave_original) {
-                    Ok(blob) => bombs.push(BombInfo {
-                        marker: spec.marker,
-                        kind: BombKind::ExistingQc,
-                        method: mref.clone(),
-                        strength: p.site.strength(),
-                        inner: spec.inner.as_ref().map(|i| (i.describe(), i.probability())),
-                        detection: spec.detection.as_ref().map(|(k, _)| k.tag()),
-                        blob,
-                    }),
-                    Err(_) => skipped += 1,
-                }
-            }
-            Action::Bogus(p) => match arm_existing(method, &mut sealed, &p, &spec, &salt, true) {
-                Ok(blob) => bombs.push(BombInfo {
-                    marker: None,
-                    kind: BombKind::Bogus,
-                    method: mref.clone(),
-                    strength: p.site.strength(),
-                    inner: None,
-                    detection: None,
-                    blob,
-                }),
-                Err(_) => skipped += 1,
-            },
-            Action::Artificial(p) => {
-                let strength = match &p.constant {
-                    Value::Bool(_) => Strength::Weak,
-                    Value::Int(_) => Strength::Medium,
-                    _ => Strength::Strong,
-                };
-                match arm_artificial(method, &mut sealed, &p, &spec, &salt) {
-                    Ok(blob) => bombs.push(BombInfo {
-                        marker: spec.marker,
-                        kind: BombKind::ArtificialQc,
-                        method: mref.clone(),
-                        strength,
-                        inner: spec.inner.as_ref().map(|i| (i.describe(), i.probability())),
-                        detection: spec.detection.as_ref().map(|(k, _)| k.tag()),
-                        blob,
-                    }),
-                    Err(_) => skipped += 1,
-                }
-            }
-        }
-    }
-    MethodOutcome {
-        class_idx,
-        method_idx,
-        blobs: sealed.into_vec(),
-        bombs,
-        skipped,
-    }
 }
 
 /// The BombDroid protector.
 #[derive(Debug, Clone, Default)]
 pub struct Protector {
     config: ProtectConfig,
-    threads: Option<usize>,
 }
 
 impl Protector {
     /// Creates a protector with the given configuration.
     pub fn new(config: ProtectConfig) -> Self {
-        Protector {
-            config,
-            threads: None,
-        }
-    }
-
-    /// Pins the instrumentation worker count (output is bit-identical for
-    /// any value; this only affects wall-clock). Without a pin, the count
-    /// comes from `BOMBDROID_THREADS`, falling back to the CPU count — or
-    /// to `1` when already running inside a fleet task, which would
-    /// otherwise oversubscribe the machine.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
+        Protector { config }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ProtectConfig {
         &self.config
-    }
-
-    fn resolve_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n;
-        }
-        if fleet::in_worker() {
-            return 1;
-        }
-        if let Ok(v) = std::env::var("BOMBDROID_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 
     /// Protects `apk`, returning the instrumented (unsigned) app and a
@@ -292,9 +156,7 @@ impl Protector {
             self.build_detections(apk, &plan, &mut strings)
         };
 
-        // Step 3–4: instrument, encrypt — in two phases. Group actions per
-        // method, applied top-down (descending position) so indices stay
-        // valid.
+        // Step 3–4: instrument, encrypt. Group actions per method.
         let mut by_method: BTreeMap<MethodRef, Vec<Action>> = BTreeMap::new();
         for p in plan.existing.iter().cloned() {
             by_method
@@ -324,101 +186,72 @@ impl Protector {
             ..ProtectReport::default()
         };
 
+        // One pass in dex order: each method's actions top-down (descending
+        // position) so indices stay valid. Each action draws its salt, then
+        // its payload spec, and is armed at once; arming draws nothing, so
+        // the RNG stream is fixed by the plan alone. Fragments are sealed as
+        // they are armed, their ids counting on from the input's own blobs.
         let instrument_span = obs::span("pipeline.instrument");
-        let prologue_span = obs::span("pipeline.instrument.prologue");
-
-        // Phase 1 — serial plan prologue. Walk methods in dex order (the
-        // order the old single-pass loop armed them in) and pre-draw every
-        // RNG-dependent ingredient: salt, then marker/payload spec per
-        // action. This consumes `rng` in exactly the serial order, so the
-        // fan-out below cannot perturb the stream no matter how it is
-        // scheduled.
-        let mut next_marker: u32 = 0;
-        let mut payload_counter: usize = 0;
-        let mut planned_methods: Vec<(usize, usize, Vec<PreparedAction>)> = Vec::new();
-        for (ci, class) in dex.classes.iter().enumerate() {
-            for (mi, method) in class.methods.iter().enumerate() {
-                let mref = method.method_ref();
-                let Some(mut actions) = by_method.remove(&mref) else {
-                    continue;
-                };
-                actions.sort_by_key(|a| std::cmp::Reverse(a.position()));
-                let prepared = actions
-                    .into_iter()
-                    .map(|action| {
-                        let mut salt = vec![0u8; 8];
-                        rng.fill(&mut salt[..]);
-                        let spec = match &action {
-                            Action::Existing(_) | Action::Artificial(_) => self.real_payload_spec(
-                                &detections,
-                                &mut next_marker,
-                                &mut payload_counter,
-                                rng,
-                            ),
-                            Action::Bogus(_) => PayloadSpec {
-                                marker: None,
-                                inner: None,
-                                detection: None,
-                                warn_message: String::new(),
-                                mute_others: false,
-                            },
+        let mut sealed = SealedBlobs::new(dex.blobs.len() as u32);
+        let mut real_payloads = 0usize;
+        for method in dex.classes.iter_mut().flat_map(|c| c.methods.iter_mut()) {
+            let mref = method.method_ref();
+            let Some(mut actions) = by_method.remove(&mref) else {
+                continue;
+            };
+            actions.sort_by_key(|a| std::cmp::Reverse(a.position()));
+            for action in actions {
+                let mut salt = [0u8; 8];
+                rng.fill(&mut salt[..]);
+                let (kind, strength, spec) = match &action {
+                    Action::Existing(p) => (
+                        BombKind::ExistingQc,
+                        p.site.strength(),
+                        self.real_payload_spec(&detections, &mut real_payloads, rng),
+                    ),
+                    Action::Bogus(p) => (
+                        BombKind::Bogus,
+                        p.site.strength(),
+                        PayloadSpec {
+                            marker: None,
+                            inner: None,
+                            detection: None,
+                            warn_message: String::new(),
+                            mute_others: false,
+                        },
+                    ),
+                    Action::Artificial(p) => {
+                        let strength = match &p.constant {
+                            Value::Bool(_) => Strength::Weak,
+                            Value::Int(_) => Strength::Medium,
+                            _ => Strength::Strong,
                         };
-                        PreparedAction { action, salt, spec }
-                    })
-                    .collect();
-                planned_methods.push((ci, mi, prepared));
-            }
-        }
-
-        prologue_span.end();
-        let arm_span = obs::span("pipeline.instrument.arm");
-
-        // Phase 2 — fan per-method arming over the fleet pool. Methods are
-        // disjoint, so each task gets `&mut` access to its own method and
-        // seals blobs into a task-local vector under LOCAL_BLOB_MARK ids.
-        let threads = self.resolve_threads();
-        let DexFile { classes, blobs, .. } = &mut dex;
-        let outcomes = {
-            let mut planned_iter = planned_methods.into_iter().peekable();
-            let mut tasks: Vec<(usize, usize, &mut Method, Vec<PreparedAction>)> = Vec::new();
-            for (ci, class) in classes.iter_mut().enumerate() {
-                for (mi, method) in class.methods.iter_mut().enumerate() {
-                    if planned_iter.peek().map(|(pci, pmi, _)| (*pci, *pmi)) == Some((ci, mi)) {
-                        let (_, _, prepared) = planned_iter.next().expect("peeked entry");
-                        tasks.push((ci, mi, method, prepared));
+                        let spec = self.real_payload_spec(&detections, &mut real_payloads, rng);
+                        (BombKind::ArtificialQc, strength, spec)
                     }
+                };
+                let armed = match &action {
+                    Action::Existing(p) => {
+                        arm_existing(method, &mut sealed, p, &spec, &salt, config.weave_original)
+                    }
+                    Action::Bogus(p) => arm_existing(method, &mut sealed, p, &spec, &salt, true),
+                    Action::Artificial(p) => arm_artificial(method, &mut sealed, p, &spec, &salt),
+                };
+                match armed {
+                    Ok(blob) => report.bombs.push(BombInfo {
+                        marker: spec.marker,
+                        kind,
+                        method: mref.clone(),
+                        strength,
+                        inner: spec.inner.as_ref().map(|i| (i.describe(), i.probability())),
+                        detection: spec.detection.as_ref().map(|(k, _)| k.tag()),
+                        blob,
+                    }),
+                    Err(_) => report.skipped_sites += 1,
                 }
             }
-            let weave = config.weave_original;
-            fleet::run_map(threads, tasks, |(ci, mi, method, prepared)| {
-                arm_method(weave, ci, mi, method, prepared)
-            })
-        };
-
-        // Merge in task (= dex) order: relocate each method's marked blob
-        // ids onto the end of the dex blob table and append its blobs and
-        // bombs. Arming every method on one thread seals in exactly this
-        // order, so ids, blob order, and report order are bit-identical for
-        // any thread count.
-        for outcome in outcomes {
-            let base = blobs.len() as u32;
-            let method = &mut classes[outcome.class_idx].methods[outcome.method_idx];
-            for instr in &mut method.body {
-                if let Instr::DecryptExec { blob, .. } = instr {
-                    if blob.0 & LOCAL_BLOB_MARK != 0 {
-                        blob.0 = base + (blob.0 & !LOCAL_BLOB_MARK);
-                    }
-                }
-            }
-            for mut bomb in outcome.bombs {
-                bomb.blob.0 = base + (bomb.blob.0 & !LOCAL_BLOB_MARK);
-                report.bombs.push(bomb);
-            }
-            blobs.extend(outcome.blobs);
-            report.skipped_sites += outcome.skipped;
         }
-
-        arm_span.end();
+        dex.blobs.extend(sealed.into_vec());
         instrument_span.end();
 
         {
@@ -518,33 +351,34 @@ impl Protector {
         detections
     }
 
+    /// The next real bomb's payload. `drawn` counts the real payloads
+    /// drawn so far, armed or skipped; it numbers the marker and picks the
+    /// detection and the response round-robin.
     fn real_payload_spec(
         &self,
         detections: &[DetectionKind],
-        next_marker: &mut u32,
-        payload_counter: &mut usize,
+        drawn: &mut usize,
         rng: &mut StdRng,
     ) -> PayloadSpec {
-        let marker = *next_marker;
-        *next_marker += 1;
+        let index = *drawn;
+        *drawn += 1;
         let detection = if detections.is_empty() {
             None
         } else {
-            let kind = detections[*payload_counter % detections.len()].clone();
+            let kind = detections[index % detections.len()].clone();
             let response = if self.config.responses.is_empty() {
                 ResponseChoice::Kill
             } else {
-                self.config.responses[*payload_counter % self.config.responses.len()]
+                self.config.responses[index % self.config.responses.len()]
             };
             Some((kind, response))
         };
-        *payload_counter += 1;
         let inner_cond = self
             .config
             .double_trigger
             .then(|| inner::synthesize(rng, self.config.inner_probability));
         PayloadSpec {
-            marker: Some(marker),
+            marker: Some(index as u32),
             inner: inner_cond,
             detection,
             warn_message: "unofficial copy detected".to_string(),

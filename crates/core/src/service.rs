@@ -1,5 +1,5 @@
 //! Protect-as-a-service: the sustained-throughput front end over the
-//! two-phase protect engine (ROADMAP item 5).
+//! protect engine (ROADMAP item 5).
 //!
 //! The paper's deployment story assumes store-side protection of every
 //! submitted APK, which makes `protect` a server workload, not a batch
@@ -31,7 +31,7 @@ use bombdroid_crypto::{sha256, Digest256};
 use bombdroid_obs as obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Fingerprint of a [`ProtectConfig`]: SHA-256 over its canonical `Debug`
@@ -178,13 +178,6 @@ impl ProtectionCache {
     }
 }
 
-/// Process-wide shared cache, for callers (bench harness, service
-/// instances) that should deduplicate against each other.
-pub fn shared_protection_cache() -> &'static ProtectionCache {
-    static CACHE: OnceLock<ProtectionCache> = OnceLock::new();
-    CACHE.get_or_init(ProtectionCache::new)
-}
-
 /// One unit of intake: an app to protect, how, and with which seed.
 #[derive(Clone)]
 pub struct ProtectJob {
@@ -259,20 +252,14 @@ pub struct ProtectService {
 }
 
 impl ProtectService {
-    /// A service with a queue bound of `max_queue` jobs, its own private
-    /// cache, and thread count from `BOMBDROID_THREADS` (or all cores).
-    pub fn new(max_queue: usize) -> Self {
-        let threads = fleet::FleetConfig::from_env(0).threads;
-        Self::with_parts(threads, max_queue, Arc::new(ProtectionCache::new()))
-    }
-
-    /// [`new`](Self::new) with an explicit thread count.
+    /// A service draining on `threads` workers, with a queue bound of
+    /// `max_queue` jobs and its own private cache.
     pub fn with_threads(threads: usize, max_queue: usize) -> Self {
         Self::with_parts(threads, max_queue, Arc::new(ProtectionCache::new()))
     }
 
-    /// Full constructor: share a cache across services (or with the
-    /// process-wide one) by passing the same `Arc`.
+    /// Full constructor: share a cache across services by passing the
+    /// same `Arc`.
     pub fn with_parts(threads: usize, max_queue: usize, cache: Arc<ProtectionCache>) -> Self {
         ProtectService {
             threads: threads.max(1),

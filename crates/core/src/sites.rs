@@ -189,7 +189,7 @@ fn scan_dex(dex: &DexFile) -> DexScan {
 }
 
 /// Process-wide scan registry keyed by `Arc<DexFile>` allocation identity —
-/// the same pattern as the decoded-program and dex-digest caches. Sound
+/// the same pattern as the dex-digest cache. Sound
 /// because a `DexFile` behind an `Arc` is immutable (the protect pipeline
 /// clones it out before mutating), so the scan of a given allocation can
 /// never go stale; the `Weak` + `ptr_eq` pairing guards against address

@@ -10,7 +10,7 @@ use bombdroid_apk::{ApkFile, VerifyError};
 use bombdroid_crypto::Digest256;
 use bombdroid_dex::{wire, DexFile, MethodRef};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// A package as installed on a device.
 #[derive(Debug, Clone)]
@@ -118,17 +118,12 @@ impl InstalledPackage {
     }
 
     /// The package's pre-decoded program, lowered once on first access and
-    /// shared (method bodies themselves decode lazily inside it).
-    ///
-    /// Programs are additionally shared *across* installs of the same
-    /// `Arc<DexFile>` through a process-wide registry: re-installing an
-    /// unchanged app (every protect pass installs the original APK to
-    /// profile it) reuses the existing program — and the method bodies
-    /// already decoded inside it — instead of re-lowering from scratch,
-    /// while another package still uses it.
+    /// shared (method bodies themselves decode lazily inside it). It lives
+    /// as long as the package, not as long as the dex: a protected app's dex
+    /// can sit in a protection cache long after its last install is gone.
     pub(crate) fn decoded_program(&self) -> &Arc<DecodedProgram> {
         self.decoded
-            .get_or_init(|| shared_decoded_program(&self.dex, self))
+            .get_or_init(|| Arc::new(DecodedProgram::build(self)))
     }
 
     /// The package's user-event table (see [`crate::UserEventSource`]),
@@ -137,43 +132,6 @@ impl InstalledPackage {
         self.user_events
             .get_or_init(|| Arc::new(UserEventTable::build(&self.dex)))
     }
-}
-
-/// Process-wide decoded-program registry, keyed by `Arc<DexFile>` identity.
-///
-/// The key is the allocation address; a stored [`Weak`] guards against
-/// address reuse (a dead weak can never be upgraded, so a recycled address
-/// is a miss, never a wrong hit). The lock is held across a build, which
-/// single-flights concurrent first boots of the same package.
-///
-/// Programs are held weakly too: a program lives only while a package
-/// uses it. A live dex alone does not pin its program, because a protected
-/// app's dex lives as long as the app sits in a protection cache, and its
-/// program, with decoded bodies and opened fragments, is larger than the
-/// dex.
-static DECODED_REGISTRY: Mutex<Vec<(Weak<DexFile>, Weak<DecodedProgram>)>> = Mutex::new(Vec::new());
-
-/// Registry capacity: far above any realistic number of simultaneously
-/// live distinct apps; a sweep keeps dead entries from accumulating.
-const DECODED_REGISTRY_CAP: usize = 256;
-
-fn shared_decoded_program(dex: &Arc<DexFile>, pkg: &InstalledPackage) -> Arc<DecodedProgram> {
-    let mut reg = DECODED_REGISTRY
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    reg.retain(|(d, p)| d.strong_count() > 0 && p.strong_count() > 0);
-    for (d, p) in reg.iter() {
-        if let (Some(live), Some(prog)) = (d.upgrade(), p.upgrade()) {
-            if Arc::ptr_eq(&live, dex) {
-                return prog;
-            }
-        }
-    }
-    let prog = Arc::new(DecodedProgram::build(pkg));
-    if reg.len() < DECODED_REGISTRY_CAP {
-        reg.push((Arc::downgrade(dex), Arc::downgrade(&prog)));
-    }
-    prog
 }
 
 #[cfg(test)]
@@ -225,16 +183,10 @@ mod tests {
     fn a_live_dex_alone_does_not_pin_its_program() {
         let dev = DeveloperKey::generate(&mut StdRng::seed_from_u64(7));
         let apk = package_app(&dex(), StringsXml::new(), AppMeta::named("a"), &dev);
-        let first = InstalledPackage::install(&apk).unwrap();
-        let second = InstalledPackage::install(&apk).unwrap();
-        // Two installs of one dex share a program while either is live...
-        assert!(Arc::ptr_eq(
-            first.decoded_program(),
-            second.decoded_program()
-        ));
-        // ...and it goes with the last of them, although the dex lives on.
-        let weak = Arc::downgrade(first.decoded_program());
-        drop((first, second));
+        let pkg = InstalledPackage::install(&apk).unwrap();
+        // The program goes with its package, although the dex lives on.
+        let weak = Arc::downgrade(pkg.decoded_program());
+        drop(pkg);
         assert!(weak.upgrade().is_none());
     }
 

@@ -57,9 +57,7 @@ fn main() {
     let mut config = SimConfig::new(336, 14, 99);
     config.window = 16;
     config.checkpoint_every = 2;
-    config.threads = std::env::var("BOMBDROID_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok());
+    config.threads = bombdroid::core::env_threads();
 
     let mut sim = Simulator::new(config, catalog.clone(), runner());
     let mut checkpoint = None;

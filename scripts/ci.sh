@@ -43,6 +43,17 @@ else
     echo "==> cargo fmt not installed; skipping format check"
 fi
 
+# Thread invariance, end to end: every experiment's stdout must be
+# byte-identical at one and at two fleet workers (the fleet determinism
+# contract). Runs before the smokes below, which read the artifacts the
+# table5 run leaves in target/repro_output.
+echo "==> repro --fast all at BOMBDROID_THREADS=1 and =2: stdout must match"
+BOMBDROID_THREADS=1 cargo run -q --release --offline -p bombdroid-bench --bin repro -- \
+    --fast all > target/repro_threads1.txt
+BOMBDROID_THREADS=2 cargo run -q --release --offline -p bombdroid-bench --bin repro -- \
+    --fast all > target/repro_threads2.txt
+run cmp target/repro_threads1.txt target/repro_threads2.txt
+
 # Observability smoke: one fast experiment must produce metrics.json and
 # flight.json artifacts that parse, match the bombdroid-obs schemas, and
 # contain the core instrumentation points. Catches refactors that silently

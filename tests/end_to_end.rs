@@ -189,3 +189,43 @@ fn protection_is_deterministic_under_seed() {
     assert_eq!(a.dex, b.dex);
     assert_eq!(a.report.bombs.len(), b.report.bombs.len());
 }
+
+#[test]
+fn protecting_a_protected_app_arms_after_its_blobs() {
+    // The second pass numbers its blobs on from the input's own: the first
+    // pass's blobs keep their indices and bytes, and every `DecryptExec`
+    // the second pass adds points past them.
+    let mut rng = StdRng::seed_from_u64(41);
+    let dev = DeveloperKey::generate(&mut rng);
+    let apk = bombdroid::corpus::flagship::swjournal().apk(&dev);
+    let first = Protector::new(fast()).protect(&apk, &mut rng).unwrap();
+    let second = Protector::new(fast())
+        .protect(&first.package(&dev), &mut rng)
+        .unwrap();
+    let base = first.dex.blobs.len();
+    assert!(base > 0 && second.dex.blobs.len() > base);
+    assert_eq!(second.dex.blobs[..base], first.dex.blobs[..]);
+    assert!(second.report.bombs_injected() > 0);
+    for bomb in &second.report.bombs {
+        assert!((base..second.dex.blobs.len()).contains(&(bomb.blob.0 as usize)));
+    }
+    let decrypt_ids = |dex: &bombdroid::dex::DexFile| -> Vec<usize> {
+        dex.classes
+            .iter()
+            .flat_map(|c| &c.methods)
+            .flat_map(|m| &m.body)
+            .filter_map(|i| match i {
+                bombdroid::dex::Instr::DecryptExec { blob, .. } => Some(blob.0 as usize),
+                _ => None,
+            })
+            .collect()
+    };
+    let old = decrypt_ids(&first.dex);
+    let new: Vec<usize> = decrypt_ids(&second.dex)
+        .into_iter()
+        .filter(|id| !old.contains(id))
+        .collect();
+    assert!(!new.is_empty());
+    assert!(new.iter().all(|&id| id >= base), "{new:?} below {base}");
+    bombdroid::dex::validate(&second.dex).expect("re-protected dex validates");
+}
